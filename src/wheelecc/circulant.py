@@ -153,7 +153,7 @@ def _combine(length: int, terms) -> VectorQ:
     return VectorQ(acc)
 
 
-def _summation_x(n: int) -> VectorQ:
+def combination_x(n: int) -> VectorQ:
     """Linear-combination form of the n % 3 == 2 defining vector."""
     if n % 2 == 0:
         terms = [(2 - n, basis_e(1, n - 1))]
@@ -173,7 +173,7 @@ def _summation_x(n: int) -> VectorQ:
     return _combine(n - 1, terms)
 
 
-def _summation_y(n: int) -> VectorQ:
+def combination_y(n: int) -> VectorQ:
     """Linear-combination form of the n % 3 == 0 defining vector."""
     if n % 2 == 0:
         terms = [(-n, basis_e(1, n - 1))]
@@ -196,31 +196,31 @@ def _summation_y(n: int) -> VectorQ:
 def special_x(n: int) -> VectorQ:
     """Defining vector (2-n, 1,-2,1, 1,-2,1, ...) of length n-1 for n % 3 == 2.
 
-    The closed pattern and its linear-combination form provably agree; both
-    are built and compared here, so the construction self-checks.
+    The check registry compares it with its linear-combination form,
+    `combination_x`.
     """
     if n % 3 != 2 or n < 5:
         raise ResidueClassError(f"this vector needs n % 3 == 2 and n >= 5, got n = {n}")
-    pattern = VectorQ([2 - n] + [1, -2, 1] * ((n - 2) // 3))
-    assert _summation_x(n) == pattern, f"pattern/summation mismatch at n = {n}"
-    return pattern
+    return VectorQ([2 - n] + [1, -2, 1] * ((n - 2) // 3))
 
 
 def special_y(n: int) -> VectorQ:
-    """Defining vector (-n, 2,-1,-1, ..., 2,-1,-1, 2) of length n-1 for n % 3 == 0."""
+    """Defining vector (-n, 2,-1,-1, ..., 2,-1,-1, 2) of length n-1 for n % 3 == 0.
+
+    The check registry compares it with its linear-combination form,
+    `combination_y`.
+    """
     if n % 3 != 0 or n < 6:
         raise ResidueClassError(f"this vector needs n % 3 == 0 and n >= 6, got n = {n}")
-    pattern = VectorQ([-n] + [2, -1, -1] * ((n - 3) // 3) + [2])
-    assert _summation_y(n) == pattern, f"pattern/summation mismatch at n = {n}"
-    return pattern
+    return VectorQ([-n] + [2, -1, -1] * ((n - 3) // 3) + [2])
 
 
 def special_z(n: int) -> VectorQ:
     """Defining vector of length n-1 for the pseudoinverse case n % 3 == 1.
 
     Built from its linear-combination form, which depends on the parity of n;
-    unlike special_x/special_y there is no short closed pattern.  The result
-    always has a palindromic tail and coordinate sum (n-1)(2-n).
+    unlike special_x/special_y there is no short closed pattern.  The check
+    registry verifies its palindromic tail and coordinate sum (n-1)(2-n).
     """
     if n % 3 != 1 or n < 7:
         raise ResidueClassError(f"this vector needs n % 3 == 1 and n >= 7, got n = {n}")
@@ -243,10 +243,7 @@ def special_z(n: int) -> VectorQ:
         for k in range(1, (n - 7) // 6 + 1):
             terms.append((1, basis_c(3 * k, n)))
         terms.append((1, basis_e((n + 1) // 2, n - 1)))
-    z = _combine(n - 1, terms)
-    assert is_symmetric_in_last_coords(z), f"tail not palindromic at n = {n}"
-    assert z.sum() == (n - 1) * (2 - n), f"coordinate sum wrong at n = {n}"
-    return z
+    return _combine(n - 1, terms)
 
 
 def tridiagonal(spec: TridiagSpec) -> MatrixQ:

@@ -60,18 +60,13 @@ class SpectralRadiusResult:
     """Spectral radius (n-4) + sqrt(n^2 - 7n + 15), kept symbolic plus a float.
 
     The value is irrational for n >= 5, so the exact layer stores the integer
-    part and the radicand; the dominant eigenvector is ((n-1)/rho, 1, ..., 1),
-    represented by the integer numerator n-1 of its single irrational slot.
+    part and the radicand; the dominant eigenvector is ((n-1)/rho, 1, ..., 1).
     """
 
     n: int
     rho_int_part: int
     radicand: int
     rho_float: float
-
-    @property
-    def perron_first_numerator(self) -> int:
-        return self.n - 1
 
     def perron_vector_float(self) -> list[float]:
         return [(self.n - 1) / self.rho_float] + [1.0] * (self.n - 1)
@@ -112,15 +107,6 @@ def ecc_matrix_wheel(n: int) -> MatrixQ:
     if n == 4:
         return jmatrix(4) - identity(4)
     return _bordered(to_dense(CirculantQ(wheel_u(n))))
-
-
-def dist_matrix_wheel(n: int) -> MatrixQ:
-    """Distance matrix of the n-vertex wheel in the same bordered form."""
-    if n < 4:
-        raise ValueError(f"need n >= 4, got {n}")
-    if n == 4:
-        return jmatrix(4) - identity(4)
-    return _bordered(to_dense(CirculantQ(wheel_d(n))))
 
 
 def ecc_matrix_wheel_minus_edge(n: int) -> MatrixQ:

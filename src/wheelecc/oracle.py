@@ -1,14 +1,15 @@
 """Independent definitional verifiers for the closed-form layer.
 
-Nothing here reuses a formula from `closedform`: determinants come from
-fraction-free elimination, ranks and inverses from row reduction, inertia
-from symmetric congruence pivoting, the spectral radius from floating-point
-power iteration, and irreducibility from strong connectivity of the support
+Nothing here reuses a formula from `closedform`: determinants, ranks and
+inverses come from one fraction-free Gauss-Jordan elimination, inertia from
+symmetric congruence pivoting, the spectral radius from floating-point power
+iteration, and irreducibility from strong connectivity of the support
 digraph.  These are the second route of every dual-route check.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -48,90 +49,71 @@ class CongruenceReport:
         return (plus, minus, zero) == self.inertia.as_tuple()
 
 
-def bareiss_det(m: MatrixQ) -> Fraction:
-    """Exact determinant by fraction-free elimination.
+def _fraction_free_gauss_jordan(m: MatrixQ, augment: bool = False):
+    """Fraction-free Gauss-Jordan elimination on Python ints.
 
-    Pivots on the first nonzero entry in each column (no magnitude pivoting
-    is needed over exact rationals) and tracks row swaps for the sign.  On
-    all-integer input the intermediate values stay integers, so a fast
-    integer path with exact floor division is used.
+    Scales m by den, the lcm of its denominators, and with augment appends
+    the identity on the right.  Pivots on the first nonzero entry in each
+    column (a column with none is skipped) and updates every other row with
+    (p * a_ij - a_ic * a_rj) // prev, where p is the new pivot and prev the
+    one before it.  The division is exact (Bareiss 1968; Nakos, Turner and
+    Williams 1997 for the Gauss-Jordan form), so no fraction ever appears.
+    Returns (rows, den, sign, rank, pivot): the reduced rows, den, the sign of
+    the row swaps, the number of pivots and the last pivot.
     """
+    den = math.lcm(*(x.denominator for row in m.iter_rows() for x in row))
+    a = [[x.numerator * (den // x.denominator) for x in row] for row in m.iter_rows()]
+    if augment:
+        for i, row in enumerate(a):
+            row.extend(1 if j == i else 0 for j in range(m.rows))
+    sign = 1
+    prev = 1
+    r = 0
+    for c in range(m.cols):
+        if r == m.rows:
+            break
+        pivot_row = next((i for i in range(r, m.rows) if a[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        if pivot_row != r:
+            a[r], a[pivot_row] = a[pivot_row], a[r]
+            sign = -sign
+        row_r = a[r]
+        p = row_r[c]
+        for i in range(m.rows):
+            if i != r:
+                f = a[i][c]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], row_r)]
+        prev = p
+        r += 1
+    return a, den, sign, r, prev
+
+
+def bareiss_det(m: MatrixQ) -> Fraction:
+    """Exact determinant: sign * last pivot / den^n at full rank, else 0."""
     if m.rows != m.cols:
         raise ShapeError(f"determinant needs a square matrix, got {m.rows}x{m.cols}")
-    n = m.rows
-    integral = all(x.denominator == 1 for row in m.iter_rows() for x in row)
-    if integral:
-        a = [[x.numerator for x in row] for row in m.iter_rows()]
-        one = 1
-    else:
-        a = [list(row) for row in m.iter_rows()]
-        one = Fraction(1)
-    sign = 1
-    prev = one
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            aik = a[i][k]
-            row_i, row_k = a[i], a[k]
-            if integral:
-                for j in range(k + 1, n):
-                    row_i[j] = (pivot * row_i[j] - aik * row_k[j]) // prev
-            else:
-                for j in range(k + 1, n):
-                    row_i[j] = (pivot * row_i[j] - aik * row_k[j]) / prev
-            row_i[k] = one - one
-        prev = pivot
-    return Fraction(sign * a[n - 1][n - 1])
+    _, den, sign, rank, pivot = _fraction_free_gauss_jordan(m)
+    if rank < m.rows:
+        return Fraction(0)
+    return Fraction(sign * pivot, den**m.rows)
 
 
 def rank_exact(m: MatrixQ) -> int:
-    """Rank over the rationals by exact row reduction."""
-    a = [list(row) for row in m.iter_rows()]
-    rows, cols = m.rows, m.cols
-    r = 0
-    for c in range(cols):
-        pivot_row = next((i for i in range(r, rows) if a[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        a[r], a[pivot_row] = a[pivot_row], a[r]
-        pv = a[r][c]
-        for i in range(r + 1, rows):
-            if a[i][c] != 0:
-                f = a[i][c] / pv
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        r += 1
-        if r == rows:
-            break
-    return r
+    """Rank over the rationals: the number of elimination pivots."""
+    _, _, _, rank, _ = _fraction_free_gauss_jordan(m)
+    return rank
 
 
 def inverse_exact(m: MatrixQ) -> MatrixQ:
-    """Exact inverse by Gauss-Jordan elimination with first-nonzero pivoting."""
+    """Exact inverse: den * (right block of the reduced [m | I]) / last pivot."""
     if m.rows != m.cols:
         raise ShapeError(f"inversion needs a square matrix, got {m.rows}x{m.cols}")
     n = m.rows
-    a = [list(row) + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-         for i, row in enumerate(m.iter_rows())]
-    for c in range(n):
-        pivot_row = next((i for i in range(c, n) if a[i][c] != 0), None)
-        if pivot_row is None:
-            raise SingularMatrixError(f"matrix of order {n} is singular")
-        a[c], a[pivot_row] = a[pivot_row], a[c]
-        pv = a[c][c]
-        a[c] = [x / pv for x in a[c]]
-        for i in range(n):
-            if i != c and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return MatrixQ(row[n:] for row in a)
+    a, den, _, rank, pivot = _fraction_free_gauss_jordan(m, augment=True)
+    if rank < n:
+        raise SingularMatrixError(f"matrix of order {n} is singular")
+    return MatrixQ([Fraction(den * x, pivot) for x in row[n:]] for row in a)
 
 
 def inertia_exact(m: MatrixQ) -> CongruenceReport:

@@ -54,3 +54,74 @@ def cofactor_det(m: MatrixQ) -> Fraction:
         sign = 1 if j % 2 == 0 else -1
         total += sign * m[0, j] * cofactor_det(minor)
     return total
+
+
+# --- reference eliminations ----------------------------------------------------
+# The Fraction row reductions that `wheelecc.oracle` used before its single
+# fraction-free core; kept here as the slow exact path the core is tested against.
+
+
+def ref_bareiss_det(m: MatrixQ) -> Fraction:
+    """Bareiss determinant carried out in Fractions."""
+    n = m.rows
+    a = [list(row) for row in m.iter_rows()]
+    sign = 1
+    prev = Fraction(1)
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return Fraction(0)
+        pivot = a[k][k]
+        for i in range(k + 1, n):
+            aik = a[i][k]
+            row_i, row_k = a[i], a[k]
+            for j in range(k + 1, n):
+                row_i[j] = (pivot * row_i[j] - aik * row_k[j]) / prev
+            row_i[k] = Fraction(0)
+        prev = pivot
+    return Fraction(sign * a[n - 1][n - 1])
+
+
+def ref_rank_exact(m: MatrixQ) -> int:
+    """Rank by Fraction row reduction to echelon form."""
+    a = [list(row) for row in m.iter_rows()]
+    rows, cols = m.rows, m.cols
+    r = 0
+    for c in range(cols):
+        pivot_row = next((i for i in range(r, rows) if a[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        a[r], a[pivot_row] = a[pivot_row], a[r]
+        pv = a[r][c]
+        for i in range(r + 1, rows):
+            if a[i][c] != 0:
+                f = a[i][c] / pv
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        r += 1
+        if r == rows:
+            break
+    return r
+
+
+def ref_inverse_exact(m: MatrixQ) -> MatrixQ | None:
+    """Inverse by Fraction Gauss-Jordan on [m | I]; None when m is singular."""
+    n = m.rows
+    a = [list(row) + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
+         for i, row in enumerate(m.iter_rows())]
+    for c in range(n):
+        pivot_row = next((i for i in range(c, n) if a[i][c] != 0), None)
+        if pivot_row is None:
+            return None
+        a[c], a[pivot_row] = a[pivot_row], a[c]
+        pv = a[c][c]
+        a[c] = [x / pv for x in a[c]]
+        for i in range(n):
+            if i != c and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+    return MatrixQ(row[n:] for row in a)

@@ -1,5 +1,6 @@
 """Tests for the command-line front end and the verification report schema."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import pytest
 from wheelecc import checks
 from wheelecc.checks import Check, CheckResult, run_checks
 from wheelecc.cli import cmd_gen, cmd_sweep, cmd_verify, main
+from wheelecc.ratq import VectorQ
 
 
 def run_main(capsys, argv):
@@ -211,3 +213,43 @@ def test_report_dataclass_counts():
     assert report.n_pass + report.n_fail + report.n_skip == len(report.checks)
     assert report.ok
     assert all(isinstance(c, CheckResult) for c in report.checks)
+
+
+# sha256 of `sweep 4 24 --format json` stdout, recorded before the oracle's
+# three eliminations became one fraction-free routine.
+SWEEP_4_24_JSON_SHA256 = "cb5c0ac8a5d0adf0cb10e4d12eeda2ee8a3f34d204d2f3783631ef7800b68132"
+
+
+def test_sweep_stdout_identity(capsys):
+    code, out, _ = run_main(capsys, ["sweep", "4", "24", "--format", "json"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_4_24_JSON_SHA256
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_pattern_mismatch_is_reported_not_raised(monkeypatch, n):
+    baseline = {c.name: c.status for c in run_checks(n).checks}
+    name = "combination_x" if n % 3 == 2 else "combination_y"
+    genuine = getattr(checks, name)
+
+    def perturbed(m):
+        v = genuine(m)
+        return VectorQ([v[0] + 1] + list(v.entries[1:]))
+
+    monkeypatch.setattr(checks, name, perturbed)
+    statuses = {c.name: c.status for c in run_checks(n).checks}
+    assert baseline["lemma_5_1_patterns"] == "pass"
+    assert statuses.pop("lemma_5_1_patterns") == "fail"
+    del baseline["lemma_5_1_patterns"]
+    assert statuses == baseline
+
+
+def test_oracle_only_report_times_each_measurement(monkeypatch):
+    ticks = iter(range(100))
+    # call k returns k^2 ms, so the i-th start/stop pair measures 4i + 1 ms
+    monkeypatch.setattr(checks.time, "perf_counter", lambda: next(ticks) ** 2 / 1000.0)
+    timed = [c for c in run_checks(4).checks if c.name.startswith("oracle_")]
+    assert [c.name for c in timed] == [
+        "oracle_det", "oracle_inertia", "oracle_rank", "oracle_irreducible", "oracle_spectral_radius",
+    ]
+    assert [c.wall_time_ms for c in timed] == pytest.approx([1.0, 5.0, 9.0, 13.0, 17.0])
