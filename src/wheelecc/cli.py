@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -103,7 +105,10 @@ def cmd_sweep(
     tol: float = DEFAULT_REPORT_TOL,
     max_n_override: bool = False,
 ) -> list[VerificationReport]:
-    """Verify every n in [n_min, n_max]; deterministic order regardless of jobs."""
+    """Verify every n in [n_min, n_max]; deterministic order regardless of jobs.
+
+    At most min(jobs, cpu count, number of n) worker processes are started.
+    """
     if n_min < 4 or n_max < n_min:
         raise ValueError(f"invalid range {n_min}..{n_max}; need 4 <= n_min <= n_max")
     if n_max > MAX_SWEEP_N and not max_n_override:
@@ -112,8 +117,9 @@ def cmd_sweep(
             "pass --max-n-override to proceed"
         )
     work = [(n, tol) for n in range(n_min, n_max + 1)]
-    if jobs > 1 and len(work) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, os.cpu_count() or 1, len(work))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(_sweep_worker, work))
     else:
         reports = [_sweep_worker(w) for w in work]
@@ -209,6 +215,28 @@ def _render_reports(reports: list[VerificationReport], fmt: str, timings: bool) 
     return _render_report_pretty(reports, timings)
 
 
+def _tolerance(text: str) -> float:
+    """argparse type of --tol: a finite float > 0 (NaN, inf, 0 and below are rejected)."""
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not 0 < tol < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
+    return tol
+
+
+def _job_count(text: str) -> int:
+    """argparse type of --jobs: an int >= 1."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return jobs
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wheelecc",
@@ -227,7 +255,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run all checks for one n")
     p_verify.add_argument("n", type=int)
     p_verify.add_argument("--format", choices=("json", "csv", "pretty"), default="pretty")
-    p_verify.add_argument("--tol", type=float, default=DEFAULT_REPORT_TOL,
+    p_verify.add_argument("--tol", type=_tolerance, default=DEFAULT_REPORT_TOL,
                           help="report tolerance for the power-iteration check")
     p_verify.add_argument("--timings", action="store_true",
                           help="include wall times (breaks byte-determinism)")
@@ -235,9 +263,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="verify a range of n")
     p_sweep.add_argument("n_min", type=int)
     p_sweep.add_argument("n_max", type=int)
-    p_sweep.add_argument("--jobs", type=int, default=1)
+    p_sweep.add_argument("--jobs", type=_job_count, default=1,
+                         help="worker processes, capped at the cpu count and the number of n")
     p_sweep.add_argument("--format", choices=("json", "csv", "pretty"), default="pretty")
-    p_sweep.add_argument("--tol", type=float, default=DEFAULT_REPORT_TOL)
+    p_sweep.add_argument("--tol", type=_tolerance, default=DEFAULT_REPORT_TOL)
     p_sweep.add_argument("--max-n-override", action="store_true",
                          help=f"allow n_max beyond the default guardrail of {MAX_SWEEP_N}")
     p_sweep.add_argument("--timings", action="store_true")

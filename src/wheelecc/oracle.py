@@ -2,20 +2,20 @@
 
 Nothing here reuses a formula from `closedform`: determinants, ranks and
 inverses come from one fraction-free Gauss-Jordan elimination, inertia from
-symmetric congruence pivoting, the spectral radius from floating-point power
-iteration, and irreducibility from strong connectivity of the support
-digraph.  These are the second route of every dual-route check.
+fraction-free symmetric congruence pivoting, the spectral radius from
+floating-point power iteration, and irreducibility from strong connectivity
+of the support digraph.  These are the second route of every dual-route
+check.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .circulant import CirculantQ, to_dense
 from .closedform import InertiaTriple, ecc_matrix_wheel, laplacian_hat
-from .ratq import MatrixQ, ShapeError, VectorQ, identity, mat_mul
+from .ratq import MatrixQ, ShapeError, VectorQ, identity, int_rows, mat_mul
 
 PIVOT_POS = "pos"
 PIVOT_NEG = "neg"
@@ -61,8 +61,7 @@ def _fraction_free_gauss_jordan(m: MatrixQ, augment: bool = False):
     Returns (rows, den, sign, rank, pivot): the reduced rows, den, the sign of
     the row swaps, the number of pivots and the last pivot.
     """
-    den = math.lcm(*(x.denominator for row in m.iter_rows() for x in row))
-    a = [[x.numerator * (den // x.denominator) for x in row] for row in m.iter_rows()]
+    a, den = int_rows(m)
     if augment:
         for i, row in enumerate(a):
             row.extend(1 if j == i else 0 for j in range(m.rows))
@@ -117,70 +116,70 @@ def inverse_exact(m: MatrixQ) -> MatrixQ:
 
 
 def inertia_exact(m: MatrixQ) -> CongruenceReport:
-    """Inertia of a symmetric matrix by exact congruence diagonalization.
+    """Inertia of a symmetric matrix by fraction-free congruence diagonalization.
 
-    Repeatedly takes a nonzero diagonal pivot (simultaneous row and column
-    elimination, contributing its sign) and, when the remaining diagonal is
-    entirely zero but some off-diagonal entry is not, a 2x2 hyperbolic pivot
-    contributing one positive and one negative eigenvalue.  What remains at
-    the end is the zero matrix, counted as zero eigenvalues.  Congruence
-    preserves inertia, so the pivot counts are the eigenvalue sign counts.
+    Works on m scaled to ints by the lcm of its denominators (a positive
+    scaling keeps the inertia).  Repeatedly takes the first nonzero diagonal
+    pivot p (simultaneous row and column elimination) and, when the remaining
+    diagonal is entirely zero but some off-diagonal entry b is not, a 2x2
+    hyperbolic pivot on the first such pair, contributing one positive and one
+    negative eigenvalue.  What remains at the end is the zero matrix, counted
+    as zero eigenvalues.  Like Bareiss elimination, each update divides by prev,
+    the determinant of the block eliminated so far, exactly (Sylvester's
+    identity): the true pivot is p / prev, and the hyperbolic block has
+    determinant -b^2 / prev.  Congruence preserves inertia, so the pivot counts
+    are the eigenvalue sign counts.
     """
     if not m.is_symmetric():
         raise ShapeError("inertia needs a symmetric matrix")
-    a = [list(row) for row in m.iter_rows()]
-    active = list(range(m.rows))
+    a, _ = int_rows(m)
+    prev = 1
     plus = minus = 0
     log: list[str] = []
-    while active:
-        i = next((k for k in active if a[k][k] != 0), None)
+    while a:
+        i = next((k for k in range(len(a)) if a[k][k] != 0), None)
         if i is not None:
-            pivot = a[i][i]
-            if pivot > 0:
+            col = [row.pop(i) for row in a]
+            row_i = a.pop(i)
+            p = col.pop(i)
+            if (p > 0) == (prev > 0):
                 plus += 1
                 log.append(PIVOT_POS)
             else:
                 minus += 1
                 log.append(PIVOT_NEG)
-            active.remove(i)
-            coef = {k: a[k][i] / pivot for k in active if a[k][i] != 0}
-            for k, fk in coef.items():
-                row_k, row_i = a[k], a[i]
-                for l in active:
-                    if row_i[l] != 0:
-                        row_k[l] -= fk * row_i[l]
-            for k in coef:
-                a[k][i] = Fraction(0)
+            a = [
+                [(p * x - c * y) // prev for x, y in zip(row, row_i)]
+                for row, c in zip(a, col)
+            ]
+            prev = p
             continue
         pair = next(
-            ((p, q) for p in active for q in active if p < q and a[p][q] != 0), None
+            ((i, j) for i in range(len(a)) for j in range(i + 1, len(a)) if a[i][j] != 0),
+            None,
         )
         if pair is None:
-            log.extend([PIVOT_ZERO] * len(active))
-            zero = len(active)
+            log.extend([PIVOT_ZERO] * len(a))
             return CongruenceReport(
-                inertia=InertiaTriple(plus, minus, zero), pivot_log=tuple(log)
+                inertia=InertiaTriple(plus, minus, len(a)), pivot_log=tuple(log)
             )
         i, j = pair
         b = a[i][j]
         plus += 1
         minus += 1
         log.append(PIVOT_HYPERBOLIC)
-        active.remove(i)
-        active.remove(j)
+        col_j = [row.pop(j) for row in a]
+        col_i = [row.pop(i) for row in a]
+        row_j, row_i = a.pop(j), a.pop(i)
+        for c in (col_i, col_j):
+            del c[j], c[i]
         # Schur complement of the block [[0, b], [b, 0]] on rows/cols {i, j}
-        cols_i = {k: a[k][i] for k in active if a[k][i] != 0}
-        cols_j = {k: a[k][j] for k in active if a[k][j] != 0}
-        for k in active:
-            ki, kj = a[k][i], a[k][j]
-            if ki == 0 and kj == 0:
-                continue
-            row_k = a[k]
-            for l in active:
-                li, lj = cols_i.get(l, Fraction(0)), cols_j.get(l, Fraction(0))
-                row_k[l] -= (ki * lj + kj * li) / b
-        for k in active:
-            a[k][i] = a[k][j] = Fraction(0)
+        bb, prev2 = b * b, prev * prev
+        a = [
+            [(b * (ci * yj + cj * yi) - bb * x) // prev2 for x, yi, yj in zip(row, row_i, row_j)]
+            for row, ci, cj in zip(a, col_i, col_j)
+        ]
+        prev = -bb // prev
     return CongruenceReport(inertia=InertiaTriple(plus, minus, 0), pivot_log=tuple(log))
 
 

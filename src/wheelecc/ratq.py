@@ -8,7 +8,9 @@ across threads.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
 Rat = Fraction
@@ -229,15 +231,25 @@ def jmatrix(rows: int, cols: int | None = None) -> MatrixQ:
     return MatrixQ([[1] * cols for _ in range(rows)])
 
 
+def int_rows(m: MatrixQ) -> tuple[list[list[int]], int]:
+    """m over one common denominator: (rows, den) with m == rows / den.
+
+    den is the lcm of the entries' denominators and rows are fresh lists of
+    Python ints, so exact kernels can run without any Fraction arithmetic.
+    """
+    den = math.lcm(*{x.denominator for row in m.iter_rows() for x in row})
+    return [[x.numerator * (den // x.denominator) for x in row] for row in m.iter_rows()], den
+
+
 def mat_mul(a: MatrixQ, b: MatrixQ) -> MatrixQ:
-    """Exact matrix product."""
+    """Exact matrix product, computed on ints over the two common denominators."""
     if a.cols != b.rows:
         raise ShapeError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    bt = list(zip(*b.iter_rows()))  # column tuples of b
-    return MatrixQ(
-        [sum((x * y for x, y in zip(row, colt)), Fraction(0)) for colt in bt]
-        for row in a.iter_rows()
-    )
+    a_int, da = int_rows(a)
+    b_int, db = int_rows(b)
+    den = da * db
+    bt = list(zip(*b_int))  # column tuples of b
+    return MatrixQ([Fraction(sum(map(mul, row, col)), den) for col in bt] for row in a_int)
 
 
 def block_compose(tl: MatrixQ, tr: MatrixQ, bl: MatrixQ, br: MatrixQ) -> MatrixQ:

@@ -125,3 +125,71 @@ def ref_inverse_exact(m: MatrixQ) -> MatrixQ | None:
                 f = a[i][c]
                 a[i] = [x - f * y for x, y in zip(a[i], a[c])]
     return MatrixQ(row[n:] for row in a)
+
+
+# --- reference kernels ---------------------------------------------------------
+# `mat_mul` and `inertia_exact` as they were on Fraction entries, before both
+# moved to ints over a common denominator; kept as the slow exact path.
+
+
+def ref_mat_mul(a: MatrixQ, b: MatrixQ) -> MatrixQ:
+    """Exact matrix product, entry by entry in Fractions."""
+    bt = list(zip(*b.iter_rows()))
+    return MatrixQ(
+        [sum((x * y for x, y in zip(row, colt)), Fraction(0)) for colt in bt]
+        for row in a.iter_rows()
+    )
+
+
+def ref_inertia_exact(m: MatrixQ) -> tuple[tuple[int, int, int], tuple[str, ...]]:
+    """Inertia and pivot log by Fraction congruence with the 2x2 hyperbolic pivot."""
+    a = [list(row) for row in m.iter_rows()]
+    active = list(range(m.rows))
+    plus = minus = 0
+    log: list[str] = []
+    while active:
+        i = next((k for k in active if a[k][k] != 0), None)
+        if i is not None:
+            pivot = a[i][i]
+            if pivot > 0:
+                plus += 1
+                log.append("pos")
+            else:
+                minus += 1
+                log.append("neg")
+            active.remove(i)
+            coef = {k: a[k][i] / pivot for k in active if a[k][i] != 0}
+            for k, fk in coef.items():
+                row_k, row_i = a[k], a[i]
+                for l in active:
+                    if row_i[l] != 0:
+                        row_k[l] -= fk * row_i[l]
+            for k in coef:
+                a[k][i] = Fraction(0)
+            continue
+        pair = next(
+            ((p, q) for p in active for q in active if p < q and a[p][q] != 0), None
+        )
+        if pair is None:
+            log.extend(["zero"] * len(active))
+            return (plus, minus, len(active)), tuple(log)
+        i, j = pair
+        b = a[i][j]
+        plus += 1
+        minus += 1
+        log.append("hyperbolic")
+        active.remove(i)
+        active.remove(j)
+        cols_i = {k: a[k][i] for k in active if a[k][i] != 0}
+        cols_j = {k: a[k][j] for k in active if a[k][j] != 0}
+        for k in active:
+            ki, kj = a[k][i], a[k][j]
+            if ki == 0 and kj == 0:
+                continue
+            row_k = a[k]
+            for l in active:
+                li, lj = cols_i.get(l, Fraction(0)), cols_j.get(l, Fraction(0))
+                row_k[l] -= (ki * lj + kj * li) / b
+        for k in active:
+            a[k][i] = a[k][j] = Fraction(0)
+    return (plus, minus, 0), tuple(log)

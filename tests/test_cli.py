@@ -2,12 +2,13 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
-from wheelecc import checks
+from wheelecc import checks, cli
 from wheelecc.checks import Check, CheckResult, run_checks
 from wheelecc.cli import cmd_gen, cmd_sweep, cmd_verify, main
 from wheelecc.ratq import VectorQ
@@ -224,6 +225,84 @@ def test_sweep_stdout_identity(capsys):
     code, out, _ = run_main(capsys, ["sweep", "4", "24", "--format", "json"])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_4_24_JSON_SHA256
+
+
+# sha256 of `verify n --format json` stdout at the sizes where the dense exact
+# kernels dominate, recorded while `mat_mul` and `inertia_exact` still ran on
+# Fraction entries.
+VERIFY_JSON_SHA256 = {
+    41: "53ca132bbd2ffcac9256ecfdce97f14e62f58124f43a3a7c96082ed8d584b7f4",
+    42: "0c9e8c8dee4044cdf3928ae01ab1af9a9ab93a27d4af44f5278024629bbdc0e9",
+    49: "278608a13100dba8a1730115880ea7ed91cdbb27869c42449f3ffc5b510d713c",
+}
+
+
+@pytest.mark.parametrize("n", sorted(VERIFY_JSON_SHA256))
+def test_verify_stdout_identity(capsys, n):
+    code, out, _ = run_main(capsys, ["verify", str(n), "--format", "json"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_JSON_SHA256[n]
+
+
+def test_verify_stdout_identity_under_optimize():
+    done = subprocess.run(
+        [sys.executable, "-O", "-m", "wheelecc", "verify", "42", "--format", "json"],
+        capture_output=True,
+        check=True,
+    )
+    assert hashlib.sha256(done.stdout).hexdigest() == VERIFY_JSON_SHA256[42]
+
+
+@pytest.mark.parametrize("verb", [["verify", "6"], ["sweep", "5", "6"]])
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1", "abc"])
+def test_tol_must_be_finite_and_positive(capsys, verb, tol):
+    with pytest.raises(SystemExit) as exc:
+        main(verb + ["--tol", tol])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err and "--tol" in captured.err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3", "x"])
+def test_jobs_below_one_is_usage_error(capsys, jobs):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "5", "6", "--jobs", jobs])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err and "--jobs" in captured.err
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+
+    started: list[int] = []
+
+    def __init__(self, max_workers):
+        self.started.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, work):
+        return map(fn, work)
+
+
+@pytest.mark.parametrize(
+    "cpus, jobs, expected",
+    [(8, 5000, [3]), (2, 5000, [2]), (8, 2, [2]), (None, 5000, []), (8, 1, [])],
+)
+def test_jobs_capped_at_cpus_and_work(monkeypatch, cpus, jobs, expected):
+    monkeypatch.setattr(_RecordingPool, "started", [])
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    reports = cmd_sweep(5, 7, jobs=jobs)
+    assert _RecordingPool.started == expected
+    assert [r.n for r in reports] == [5, 6, 7]
 
 
 @pytest.mark.parametrize("n", [8, 9])

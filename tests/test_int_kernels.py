@@ -1,0 +1,155 @@
+"""Differential tests: the int kernels against the Fraction routines they replace.
+
+`mat_mul` multiplies ints over the operands' common denominators, and
+`inertia_exact` runs a fraction-free symmetric congruence.  Both are compared
+with the Fraction versions kept in `helpers`, inertia pivot log and all, and
+inertia also with sympy's characteristic polynomial where sympy is installed.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from helpers import rand_fraction, ref_inertia_exact, ref_mat_mul
+from wheelecc import closedform as cf
+from wheelecc.oracle import PIVOT_HYPERBOLIC, PIVOT_ZERO, inertia_exact
+from wheelecc.ratq import MatrixQ, ShapeError, int_rows, mat_mul
+
+DENOMINATORS = (1, 2, 3, 4, 6, 7, 12)
+
+
+def _rand_rows(rng, rows, cols, max_den, density=1.0):
+    return [
+        [rand_fraction(rng, max_den=max_den) if rng.random() < density else Fraction(0) for _ in range(cols)]
+        for _ in range(rows)
+    ]
+
+
+def test_int_rows_is_exact_scaling():
+    m = MatrixQ([[Fraction(1, 2), Fraction(-2, 3)], [0, Fraction(5, 4)]])
+    rows, den = int_rows(m)
+    assert den == 12
+    assert rows == [[6, -8], [0, 15]]
+    assert MatrixQ([[Fraction(x, den) for x in row] for row in rows]) == m
+    assert int_rows(MatrixQ([[3, -1]])) == ([[3, -1]], 1)
+
+
+def test_mat_mul_matches_fraction_product_random():
+    rng = random.Random(20241017)
+    for t in range(2400):
+        rows, inner, cols = (rng.randint(1, 7) for _ in range(3))
+        a = MatrixQ(_rand_rows(rng, rows, inner, rng.choice(DENOMINATORS), rng.choice((1.0, 0.5, 0.1))))
+        b = MatrixQ(_rand_rows(rng, inner, cols, rng.choice(DENOMINATORS), rng.choice((1.0, 0.5, 0.1))))
+        assert mat_mul(a, b) == ref_mat_mul(a, b)
+    with pytest.raises(ShapeError):
+        mat_mul(MatrixQ([[1, 2]]), MatrixQ([[1, 2]]))
+
+
+def _random_symmetric(rng: random.Random, t: int) -> MatrixQ:
+    """Seeded symmetric matrix of order 1..8; cycles through four kinds.
+
+    Dense with mixed denominators; zero diagonal (hyperbolic pivots are
+    forced); rank-deficient B D B' with k < n; sparse with mostly zero
+    diagonal, so both pivot kinds and trailing zero blocks occur.
+    """
+    n = rng.randint(1, 8)
+    max_den = rng.choice(DENOMINATORS)
+    kind = t % 4
+    if kind == 2:
+        k = rng.randint(1, max(1, n - 1))
+        b = MatrixQ(_rand_rows(rng, n, k, max_den))
+        d = MatrixQ([[rand_fraction(rng) if i == j else 0 for j in range(k)] for i in range(k)])
+        return ref_mat_mul(ref_mat_mul(b, d), b.transpose())
+    a = [[Fraction(0)] * n for _ in range(n)]
+    density = 0.3 if kind == 3 else 1.0
+    for i in range(n):
+        for j in range(i, n):
+            if i == j and (kind == 1 or (kind == 3 and rng.random() < 0.8)):
+                continue
+            if rng.random() < density:
+                a[i][j] = a[j][i] = rand_fraction(rng, max_den=max_den)
+    return MatrixQ(a)
+
+
+def _report(m: MatrixQ):
+    r = inertia_exact(m)
+    assert r.counts_consistent()
+    return r.inertia.as_tuple(), r.pivot_log
+
+
+def test_inertia_matches_fraction_congruence_random():
+    rng = random.Random(20241018)
+    seen = {"hyperbolic": 0, "zero": 0}
+    for t in range(2400):
+        m = _random_symmetric(rng, t)
+        ref = ref_inertia_exact(m)
+        assert _report(m) == ref
+        seen["hyperbolic"] += PIVOT_HYPERBOLIC in ref[1]
+        seen["zero"] += PIVOT_ZERO in ref[1]
+    assert min(seen.values()) >= 300, seen
+
+
+def test_inertia_pivot_signs_and_blocks():
+    # negative leading pivot: the sign test is against the running prev
+    assert _report(MatrixQ([[-2, 1], [1, 3]])) == ((1, 1, 0), ("neg", "pos"))
+    assert _report(MatrixQ([[-1, 0], [0, -3]])) == ((0, 2, 0), ("neg", "neg"))
+    # zero diagonal: one hyperbolic pivot, then the scaled Schur complement
+    m = MatrixQ([[0, Fraction(1, 2), 1], [Fraction(1, 2), 0, 1], [1, 1, 0]])
+    assert _report(m) == ref_inertia_exact(m) == ((1, 2, 0), ("hyperbolic", "neg"))
+    assert _report(MatrixQ([[0, 0], [0, 0]])) == ((0, 0, 2), ("zero", "zero"))
+    with pytest.raises(ShapeError):
+        inertia_exact(MatrixQ([[0, 1], [2, 0]]))
+
+
+def _wheel_matrices(n: int):
+    yield cf.ecc_matrix_wheel(n)
+    yield cf.ecc_matrix_wheel_minus_edge(n)
+    if n % 3 != 1:
+        yield cf.laplacian_tilde(n)
+        yield cf.inverse_E_closed(n)
+    else:
+        yield cf.laplacian_hat(n)
+        yield cf.pinv_E_closed(n)
+
+
+@pytest.mark.parametrize("n", range(5, 41))
+def test_int_kernels_match_fraction_routes_on_wheel_matrices(n):
+    e, e_me, lap, x = _wheel_matrices(n)
+    for a, b in ((e, x), (x, e), (lap, e)):
+        assert mat_mul(a, b) == ref_mat_mul(a, b)
+    for m in (e, e_me, lap, x):
+        assert _report(m) == ref_inertia_exact(m)
+    assert inertia_exact(e).inertia == cf.inertia_E_closed(n)
+    assert inertia_exact(e_me).inertia == cf.inertia_E_minus_edge_closed(n)
+
+
+def _descartes_inertia(sympy, m: MatrixQ) -> tuple[int, int, int]:
+    """Inertia from sign changes of the characteristic polynomial.
+
+    All roots of a symmetric matrix's characteristic polynomial are real, so
+    Descartes' rule of signs counts the positive roots of p(x) and of p(-x)
+    exactly; the zero eigenvalues are the trailing zero coefficients.
+    """
+    from sympy.polys.matrices import DomainMatrix
+
+    s = DomainMatrix.from_Matrix(
+        sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in m.iter_rows()])
+    ).convert_to(sympy.QQ)
+    coeffs = list(reversed(s.charpoly()))  # coefficient of x^k at index k
+
+    def sign_changes(cs):
+        signs = [c > 0 for c in cs if c != 0]
+        return sum(1 for u, v in zip(signs, signs[1:]) if u != v)
+
+    zero = next(k for k, c in enumerate(coeffs) if c != 0)
+    plus = sign_changes(coeffs)
+    minus = sign_changes([c if k % 2 == 0 else -c for k, c in enumerate(coeffs)])
+    return plus, minus, zero
+
+
+@pytest.mark.parametrize("n", range(5, 31))
+def test_inertia_matches_sympy_charpoly_on_wheel_matrices(n):
+    sympy = pytest.importorskip("sympy")
+    for m in _wheel_matrices(n):
+        assert inertia_exact(m).inertia.as_tuple() == _descartes_inertia(sympy, m)
