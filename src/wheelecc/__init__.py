@@ -56,7 +56,6 @@ from .graphs import (
     delete_cycle_edge,
     eccentricities,
     eccentricity_matrix_definitional,
-    edge_list,
 )
 from .oracle import (
     CongruenceReport,

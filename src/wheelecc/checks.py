@@ -8,7 +8,9 @@ commands are thin wrappers over `run_checks`.
 
 from __future__ import annotations
 
+import sys
 import time
+import traceback
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -35,12 +37,13 @@ from .ratq import MatrixQ, VectorQ, identity, mat_mul, ones_vector, rat_str
 
 POWER_ITERATION_TOL = 1e-12
 DEFAULT_REPORT_TOL = 1e-8
+LITERAL_POWER_MAX_N = 12  # (I + E)^(n-1) entries grow quickly; cross-check small n only
 
 
 @dataclass(frozen=True)
 class CheckResult:
     name: str
-    status: str  # "pass" | "fail" | "skip"
+    status: str  # "pass" | "fail" | "skip" | "error" (the check raised)
     expected: str
     actual: str
     wall_time_ms: float
@@ -57,7 +60,8 @@ class VerificationReport:
 
     @property
     def n_fail(self) -> int:
-        return sum(1 for c in self.checks if c.status == "fail")
+        """Failed checks, counting those that raised."""
+        return sum(1 for c in self.checks if c.status in ("fail", "error"))
 
     @property
     def n_skip(self) -> int:
@@ -112,19 +116,18 @@ class VerifyContext:
 
     @cached_property
     def inv(self) -> MatrixQ:
-        return cf.inverse_E_closed(self.n)
+        """The inverse formula, from the cached Ltilde and w (n % 3 != 1)."""
+        return cf.inverse_formula(self.L, self.w)
 
     @cached_property
     def pinv(self) -> MatrixQ:
-        return cf.pinv_E_closed(self.n)
+        """The pseudoinverse formula, from the cached Lhat and w (n % 3 == 1)."""
+        return cf.inverse_formula(self.L, self.w)
 
     @cached_property
-    def E_inv_oracle(self) -> MatrixQ | None:
-        """Row-reduction inverse of E, or None when E is singular."""
-        try:
-            return oracle.inverse_exact(self.E)
-        except oracle.SingularMatrixError:
-            return None
+    def E_elim(self) -> oracle.Elimination:
+        """E's det, rank and row-reduction inverse (None when singular), from one elimination."""
+        return oracle.eliminate(self.E)
 
 
 Runner = Callable[[VerifyContext], tuple[str, str, bool]]
@@ -171,9 +174,12 @@ def _mat_eq(expected: MatrixQ, actual: MatrixQ) -> tuple[str, str, bool]:
     return "exact matrix equality", "shape mismatch", False
 
 
+def _tf(b: bool) -> str:
+    return "true" if b else "false"
+
+
 def _bool(expected: bool, actual: bool, detail: str = "") -> tuple[str, str, bool]:
-    fmt = lambda b: "true" if b else "false"
-    return fmt(expected), fmt(actual) + (f" ({detail})" if detail else ""), expected == actual
+    return _tf(expected), _tf(actual) + (f" ({detail})" if detail else ""), expected == actual
 
 
 # --- determinants -----------------------------------------------------------
@@ -217,7 +223,7 @@ def _chk_recur_E(ctx):
 
 
 def _chk_det_E(ctx):
-    return _scalar(cf.det_E_closed(ctx.n), oracle.bareiss_det(ctx.E))
+    return _scalar(cf.det_E_closed(ctx.n), ctx.E_elim.det)
 
 
 def _chk_det_E_me(ctx):
@@ -226,7 +232,7 @@ def _chk_det_E_me(ctx):
 
 def _chk_invertible(ctx):
     expected = ctx.n % 3 != 1
-    inv = ctx.E_inv_oracle
+    inv = ctx.E_elim.inverse
     actual = inv is not None and mat_mul(ctx.E, inv) == identity(ctx.n)
     return _bool(expected, actual, "invertible" if actual else "singular")
 
@@ -266,7 +272,7 @@ def _chk_interlace(ctx):
 
 def _chk_rank_E(ctx):
     closed = cf.rank_E_closed(ctx.n)
-    actual = oracle.rank_exact(ctx.E)
+    actual = ctx.E_elim.rank
     return str(closed), str(actual), closed == actual
 
 
@@ -366,7 +372,7 @@ def _chk_LE_identity(ctx):
 def _chk_inverse(ctx):
     n = ctx.n
     ok = mat_mul(ctx.E, ctx.inv) == identity(n) and mat_mul(ctx.inv, ctx.E) == identity(n)
-    ok = ok and ctx.inv == ctx.E_inv_oracle
+    ok = ok and ctx.inv == ctx.E_elim.inverse
     return "E X = X E = I and X matches row-reduction inverse", "holds" if ok else "violated", ok
 
 
@@ -448,14 +454,24 @@ def _chk_rank_Lhat(ctx):
 
 
 def _chk_rank_cert(ctx):
-    return _bool(True, oracle.rank_certificate_check(ctx.n), "certificate")
+    return _bool(True, oracle.rank_certificate_check(ctx.L, ctx.E), "certificate")
 
 
 # --- spectral and structural ------------------------------------------------
 
 
 def _chk_irreducible(ctx):
-    return _bool(True, oracle.is_irreducible(ctx.E), "strongly connected support")
+    connected = oracle.is_irreducible(ctx.E)
+    if ctx.n <= LITERAL_POWER_MAX_N:
+        literal = oracle.literal_power_positive(ctx.E)
+        if literal != connected:
+            return _bool(
+                True,
+                False,
+                f"routes disagree: strong connectivity {_tf(connected)}, "
+                f"(I + E)^(n-1) > 0 {_tf(literal)}",
+            )
+    return _bool(True, connected, "strongly connected support")
 
 
 def _chk_spectral_radius(ctx):
@@ -584,11 +600,26 @@ def _oracle_only_report(n: int, tol: float) -> VerificationReport:
         ),
     )
     for name, measure in measurements:
-        t0 = time.perf_counter()
-        value = measure()
-        ms = (time.perf_counter() - t0) * 1000.0
-        results.append(CheckResult(name, "pass", "oracle-only", value, ms))
+        results.append(_run_timed(n, name, lambda: ("oracle-only", measure(), True)))
     return VerificationReport(n=n, checks=tuple(results))
+
+
+def _run_timed(n: int, name: str, run: Callable[[], tuple[str, str, bool]]) -> CheckResult:
+    """Run one check and time it.
+
+    An exception becomes an "error" result carrying its type and message, so
+    the other checks still run; the traceback goes to stderr.
+    """
+    t0 = time.perf_counter()
+    try:
+        expected, actual, ok = run()
+        status = "pass" if ok else "fail"
+    except Exception as exc:
+        print(f"check {name} raised at n = {n}:", file=sys.stderr)
+        traceback.print_exc()
+        expected, actual, status = "", f"{type(exc).__name__}: {exc}", "error"
+    ms = (time.perf_counter() - t0) * 1000.0
+    return CheckResult(name, status, expected, actual, ms)
 
 
 def run_checks(n: int, tol: float = DEFAULT_REPORT_TOL) -> VerificationReport:
@@ -604,10 +635,5 @@ def run_checks(n: int, tol: float = DEFAULT_REPORT_TOL) -> VerificationReport:
         if reason is not None:
             results.append(CheckResult(check.name, "skip", "", reason, 0.0))
             continue
-        t0 = time.perf_counter()
-        expected, actual, ok = check.run(ctx)
-        ms = (time.perf_counter() - t0) * 1000.0
-        results.append(
-            CheckResult(check.name, "pass" if ok else "fail", expected, actual, ms)
-        )
+        results.append(_run_timed(n, check.name, lambda: check.run(ctx)))
     return VerificationReport(n=n, checks=tuple(results))

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
-from .ratq import MatrixQ, ShapeError, VectorQ, rat
+from .ratq import MatrixQ, ShapeError, VectorQ, int_entries, rat
 
 
 class ResidueClassError(ValueError):
@@ -74,17 +75,19 @@ def to_dense(c: CirculantQ) -> MatrixQ:
 def circ_mul(x: CirculantQ, y: CirculantQ) -> CirculantQ:
     """Product of circulants, itself circulant.
 
-    Computed as the row vector x' times the dense expansion of y, which
-    is the defining row of the product; the left factor is never expanded.
+    The defining row of the product is the row vector x' times the dense
+    expansion of y: entry j is sum_k x_k y_((j-k) mod m), a cyclic
+    convolution.  Computed on ints over the two common denominators; neither
+    factor is expanded.
     """
     if x.order != y.order:
         raise ShapeError(f"circulant orders differ: {x.order} vs {y.order}")
-    ydense = to_dense(y)
-    row = [
-        sum((a * b for a, b in zip(x.first_row.entries, ydense.col(j).entries)), Fraction(0))
-        for j in range(y.order)
-    ]
-    return CirculantQ(VectorQ(row))
+    m = x.order
+    xs, dx = int_entries(x.first_row)
+    ys, dy = int_entries(y.first_row)
+    yy = ys + ys  # column j of the dense expansion of y is yy[j+m], ..., yy[j+1]
+    den = dx * dy
+    return CirculantQ(VectorQ(Fraction(sum(map(mul, xs, yy[j + m:j:-1])), den) for j in range(m)))
 
 
 def first_column(c: CirculantQ) -> VectorQ:

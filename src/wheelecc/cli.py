@@ -188,7 +188,7 @@ def _render_report_pretty(reports: list[VerificationReport], timings: bool) -> s
     for r in reports:
         lines.append(f"n = {r.n}")
         for c in r.checks:
-            mark = {"pass": "PASS", "fail": "FAIL", "skip": "skip"}[c.status]
+            mark = {"pass": "PASS", "fail": "FAIL", "skip": "skip", "error": "ERROR"}[c.status]
             detail = c.expected if c.status == "pass" else c.actual
             if c.expected == "oracle-only":
                 detail = c.actual

@@ -137,12 +137,6 @@ def _perfect_square_root(x: Fraction):
     return None
 
 
-def tridiag_formula_in_domain(a, b, c) -> bool:
-    """Whether a^2 != 4bc, the validity region of the quadratic-root determinant formula."""
-    a, b, c = rat(a), rat(b), rat(c)
-    return a * a != 4 * b * c
-
-
 def det_tridiagonal_closed(order: int, a, b, c) -> Fraction:
     """Determinant of the constant tridiagonal matrix of the given order.
 
@@ -288,10 +282,15 @@ def weight_w(n: int) -> VectorQ:
     return VectorQ([Fraction(7 - n, 6)] + [Fraction(1, 6)] * (n - 1))
 
 
-def _rank_one_correction(n: int) -> MatrixQ:
-    w = weight_w(n)
-    return MatrixQ(
-        [Fraction(6, n - 1) * w[i] * w[j] for j in range(n)] for i in range(n)
+def inverse_formula(lap: MatrixQ, w: VectorQ) -> MatrixQ:
+    """The paper's formula -(1/2) L + (6/(n-1)) w w' for E's (pseudo)inverse.
+
+    With L = Ltilde (n % 3 != 1) it is the inverse, with L = Lhat
+    (n % 3 == 1) the Moore-Penrose inverse; n is the order of L.
+    """
+    n = lap.rows
+    return lap.scaled(Fraction(-1, 2)) + MatrixQ(
+        [Fraction(6, n - 1) * wi * wj for wj in w.entries] for wi in w.entries
     )
 
 
@@ -307,7 +306,7 @@ def inverse_E_closed(n: int) -> MatrixQ:
             "check det_thm_3_4); use pinv_E_closed"
         )
     _require(n)
-    return laplacian_tilde(n).scaled(Fraction(-1, 2)) + _rank_one_correction(n)
+    return inverse_formula(laplacian_tilde(n), weight_w(n))
 
 
 def pinv_E_closed(n: int) -> MatrixQ:
@@ -317,7 +316,7 @@ def pinv_E_closed(n: int) -> MatrixQ:
             f"the pseudoinverse formula needs n % 3 == 1 and n >= 7, got n = {n}; "
             "the matrix is invertible otherwise, use inverse_E_closed"
         )
-    return laplacian_hat(n).scaled(Fraction(-1, 2)) + _rank_one_correction(n)
+    return inverse_formula(laplacian_hat(n), weight_w(n))
 
 
 def quotient_matrix(n: int) -> MatrixQ:

@@ -21,17 +21,15 @@ class GraphError(ValueError):
 
 @dataclass(frozen=True)
 class WheelSpec:
-    """The single wheel parameter n with its residue class mod 3 and parity."""
+    """The single wheel parameter n, validated."""
 
     n: int
-    residue: int
-    parity: int
 
     @classmethod
     def of(cls, n: int) -> "WheelSpec":
         if n < 4:
             raise GraphError(f"wheel graphs need n >= 4, got {n}")
-        return cls(n=n, residue=n % 3, parity=n % 2)
+        return cls(n=n)
 
 
 @dataclass(frozen=True)
@@ -139,8 +137,3 @@ def eccentricity_matrix_definitional(d: MatrixQ) -> MatrixQ:
         ]
         for i in range(n)
     )
-
-
-def edge_list(g: Graph) -> str:
-    """Debug export: one "i j" pair per line, 1-indexed."""
-    return "\n".join(f"{i + 1} {j + 1}" for i, j in g.edges())

@@ -1,10 +1,10 @@
 """Independent definitional verifiers for the closed-form layer.
 
-Nothing here reuses a formula from `closedform`: determinants, ranks and
-inverses come from one fraction-free Gauss-Jordan elimination, inertia from
-fraction-free symmetric congruence pivoting, the spectral radius from
-floating-point power iteration, and irreducibility from strong connectivity
-of the support digraph.  These are the second route of every dual-route
+Nothing here reuses a formula from `closedform`: determinants and ranks come
+from the forward pass of one fraction-free elimination and inverses from its
+Gauss-Jordan form, inertia from fraction-free symmetric congruence pivoting,
+the spectral radius from floating-point power iteration, and irreducibility
+from strong connectivity of the support digraph.  These are the second route of every dual-route
 check.
 """
 
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .circulant import CirculantQ, to_dense
-from .closedform import InertiaTriple, ecc_matrix_wheel, laplacian_hat
+from .closedform import InertiaTriple
 from .ratq import MatrixQ, ShapeError, VectorQ, identity, int_rows, mat_mul
 
 PIVOT_POS = "pos"
@@ -49,17 +49,20 @@ class CongruenceReport:
         return (plus, minus, zero) == self.inertia.as_tuple()
 
 
-def _fraction_free_gauss_jordan(m: MatrixQ, augment: bool = False):
-    """Fraction-free Gauss-Jordan elimination on Python ints.
+def _fraction_free_elimination(m: MatrixQ, augment: bool = False, jordan: bool = False):
+    """Fraction-free elimination on Python ints.
 
     Scales m by den, the lcm of its denominators, and with augment appends
     the identity on the right.  Pivots on the first nonzero entry in each
-    column (a column with none is skipped) and updates every other row with
+    column (a column with none is skipped) and updates the rows below the
+    pivot, and with jordan also the rows above it, by
     (p * a_ij - a_ic * a_rj) // prev, where p is the new pivot and prev the
     one before it.  The division is exact (Bareiss 1968; Nakos, Turner and
     Williams 1997 for the Gauss-Jordan form), so no fraction ever appears.
-    Returns (rows, den, sign, rank, pivot): the reduced rows, den, the sign of
-    the row swaps, the number of pivots and the last pivot.
+    The forward pass alone gives the rank and, at full rank, the determinant
+    of the scaled matrix as the last pivot.  Returns (rows, den, sign, rank,
+    pivot): the reduced rows, den, the sign of the row swaps, the number of
+    pivots and the last pivot.
     """
     a, den = int_rows(m)
     if augment:
@@ -79,40 +82,69 @@ def _fraction_free_gauss_jordan(m: MatrixQ, augment: bool = False):
             sign = -sign
         row_r = a[r]
         p = row_r[c]
-        for i in range(m.rows):
+        # below the pivot, columns left of c are already zero; above it they are not
+        start = 0 if jordan else c
+        tail = row_r[start:]
+        for i in range(m.rows) if jordan else range(r + 1, m.rows):
             if i != r:
-                f = a[i][c]
-                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], row_r)]
+                row_i = a[i]
+                f = row_i[c]
+                row_i[start:] = [(p * x - f * y) // prev for x, y in zip(row_i[start:], tail)]
         prev = p
         r += 1
     return a, den, sign, r, prev
 
 
 def bareiss_det(m: MatrixQ) -> Fraction:
-    """Exact determinant: sign * last pivot / den^n at full rank, else 0."""
+    """Exact determinant from the forward pass: sign * last pivot / den^n at full rank, else 0."""
     if m.rows != m.cols:
         raise ShapeError(f"determinant needs a square matrix, got {m.rows}x{m.cols}")
-    _, den, sign, rank, pivot = _fraction_free_gauss_jordan(m)
+    _, den, sign, rank, pivot = _fraction_free_elimination(m)
     if rank < m.rows:
         return Fraction(0)
     return Fraction(sign * pivot, den**m.rows)
 
 
 def rank_exact(m: MatrixQ) -> int:
-    """Rank over the rationals: the number of elimination pivots."""
-    _, _, _, rank, _ = _fraction_free_gauss_jordan(m)
+    """Rank over the rationals: the number of forward-pass pivots."""
+    _, _, _, rank, _ = _fraction_free_elimination(m)
     return rank
 
 
+@dataclass(frozen=True)
+class Elimination:
+    """Determinant, rank and inverse (None when singular) of one square matrix."""
+
+    det: Fraction
+    rank: int
+    inverse: MatrixQ | None
+
+
+def eliminate(m: MatrixQ) -> Elimination:
+    """One Gauss-Jordan elimination of [m | I], read three ways.
+
+    Gives the same det, rank and inverse as `bareiss_det`, `rank_exact` and
+    `inverse_exact`, for callers that need all three of one matrix.  The
+    inverse is den * (right block of the reduced [m | I]) / last pivot.
+    """
+    if m.rows != m.cols:
+        raise ShapeError(f"elimination needs a square matrix, got {m.rows}x{m.cols}")
+    n = m.rows
+    a, den, sign, rank, pivot = _fraction_free_elimination(m, augment=True, jordan=True)
+    if rank < n:
+        return Elimination(Fraction(0), rank, None)
+    inverse = MatrixQ([Fraction(den * x, pivot) for x in row[n:]] for row in a)
+    return Elimination(Fraction(sign * pivot, den**n), rank, inverse)
+
+
 def inverse_exact(m: MatrixQ) -> MatrixQ:
-    """Exact inverse: den * (right block of the reduced [m | I]) / last pivot."""
+    """Exact inverse by Gauss-Jordan elimination of [m | I] (see `eliminate`)."""
     if m.rows != m.cols:
         raise ShapeError(f"inversion needs a square matrix, got {m.rows}x{m.cols}")
-    n = m.rows
-    a, den, _, rank, pivot = _fraction_free_gauss_jordan(m, augment=True)
-    if rank < n:
-        raise SingularMatrixError(f"matrix of order {n} is singular")
-    return MatrixQ([Fraction(den * x, pivot) for x in row[n:]] for row in a)
+    inverse = eliminate(m).inverse
+    if inverse is None:
+        raise SingularMatrixError(f"matrix of order {m.rows} is singular")
+    return inverse
 
 
 def inertia_exact(m: MatrixQ) -> CongruenceReport:
@@ -217,7 +249,12 @@ def _strongly_connected(m: MatrixQ) -> bool:
     return True
 
 
-def _literal_power_positive(m: MatrixQ) -> bool:
+def literal_power_positive(m: MatrixQ) -> bool:
+    """Whether (I + m)^(n-1) is entrywise positive, by n-1 exact products.
+
+    For non-negative m this is equivalent to irreducibility; the entries grow
+    quickly with n, so it is a cross-check for small orders only.
+    """
     n = m.rows
     acc = identity(n)
     base = identity(n) + m
@@ -231,22 +268,14 @@ def is_irreducible(m: MatrixQ) -> bool:
 
     Decided as strong connectivity of the digraph on the nonzero off-diagonal
     support, which is equivalent to the positivity of (I + A)^(n-1) for
-    non-negative A.  For order <= 12 both routes are computed and must agree;
-    at larger orders the matrix power would blow up entry sizes for no gain.
+    non-negative A (`literal_power_positive`, which the check registry
+    compares with this route at small orders).
     """
     if m.rows != m.cols:
         raise ShapeError(f"need a square matrix, got {m.rows}x{m.cols}")
     if any(x < 0 for row in m.iter_rows() for x in row):
         raise ValueError("irreducibility test requires entrywise non-negative input")
-    connected = _strongly_connected(m)
-    if m.rows <= 12:
-        literal = _literal_power_positive(m)
-        if literal != connected:
-            raise AssertionError(
-                "strong-connectivity and literal power tests disagree; "
-                f"connectivity={connected}, power={literal}"
-            )
-    return connected
+    return _strongly_connected(m)
 
 
 def power_iteration_rho(m: MatrixQ, tol: float = 1e-12, max_iters: int = 10000) -> float:
@@ -296,13 +325,15 @@ def rank_certificate_vectors(n: int) -> tuple[VectorQ, VectorQ, VectorQ]:
     return p, q, r
 
 
-def rank_certificate_check(n: int) -> bool:
-    """Verify the rank-(n-3) certificate of the singular-case Laplacian.
+def rank_certificate_check(lhat: MatrixQ, e: MatrixQ) -> bool:
+    """Verify the rank-(n-3) certificate of the singular-case Laplacian lhat.
 
     Assembles the n x (n-3) matrices X (bordered cyclic construction, three
     zero rows at the bottom) and C (3I stacked over the three padding rows),
-    then checks Lhat * E * X == C exactly and rank(C) == n-3.
+    then checks lhat * e * X == C exactly and rank(C) == n-3, where e is the
+    eccentricity matrix and n its order.
     """
+    n = e.rows
     if n % 3 != 1 or n < 10:
         raise ValueError(f"rank certificate needs n % 3 == 1 and n >= 10, got {n}")
     s = VectorQ([-2, 0, 0] + [-1, 0, 0] * ((n - 7) // 3))
@@ -319,5 +350,5 @@ def rank_certificate_check(n: int) -> bool:
     c_rows.extend([list(p.entries), list(q.entries), list(r.entries)])
     c = MatrixQ(c_rows)
 
-    lhs = mat_mul(mat_mul(laplacian_hat(n), ecc_matrix_wheel(n)), x)
+    lhs = mat_mul(mat_mul(lhat, e), x)
     return lhs == c and rank_exact(c) == n - 3

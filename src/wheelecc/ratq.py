@@ -83,9 +83,12 @@ class VectorQ:
         return VectorQ(c * a for a in self.entries)
 
     def dot(self, other: "VectorQ") -> Fraction:
+        """Exact inner product, computed on ints over the two common denominators."""
         if len(self) != len(other):
             raise ShapeError(f"vector lengths differ: {len(self)} vs {len(other)}")
-        return sum((a * b for a, b in zip(self.entries, other.entries)), Fraction(0))
+        a, da = int_entries(self)
+        b, db = int_entries(other)
+        return Fraction(sum(map(mul, a, b)), da * db)
 
     def sum(self) -> Fraction:
         return sum(self.entries, Fraction(0))
@@ -182,11 +185,13 @@ class MatrixQ:
         return self.rows == self.cols
 
     def mul_vec(self, v: VectorQ) -> VectorQ:
+        """Exact product m v, computed on ints over the two common denominators."""
         if self.cols != len(v):
             raise ShapeError(f"matrix cols {self.cols} != vector length {len(v)}")
-        return VectorQ(
-            sum((a * b for a, b in zip(r, v.entries)), Fraction(0)) for r in self._rows
-        )
+        a, da = int_rows(self)
+        x, dx = int_entries(v)
+        den = da * dx
+        return VectorQ(Fraction(sum(map(mul, row, x)), den) for row in a)
 
     def submatrix(self, r0: int, r1: int, c0: int, c1: int) -> "MatrixQ":
         """Rows r0..r1-1 and columns c0..c1-1 (0-indexed, half-open)."""
@@ -229,6 +234,12 @@ def jmatrix(rows: int, cols: int | None = None) -> MatrixQ:
     if rows < 1 or cols < 1:
         raise ShapeError("invalid dimension; need rows, cols >= 1")
     return MatrixQ([[1] * cols for _ in range(rows)])
+
+
+def int_entries(v: VectorQ) -> tuple[list[int], int]:
+    """v over one common denominator: (ints, den) with v == ints / den, den the lcm."""
+    den = math.lcm(*{x.denominator for x in v.entries})
+    return [x.numerator * (den // x.denominator) for x in v.entries], den
 
 
 def int_rows(m: MatrixQ) -> tuple[list[list[int]], int]:

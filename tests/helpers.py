@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
+from wheelecc.circulant import CirculantQ, to_dense
 from wheelecc.ratq import MatrixQ, VectorQ
 
 
@@ -193,3 +195,70 @@ def ref_inertia_exact(m: MatrixQ) -> tuple[tuple[int, int, int], tuple[str, ...]
         for k in active:
             a[k][i] = a[k][j] = Fraction(0)
     return (plus, minus, 0), tuple(log)
+
+
+# --- Gauss-Jordan determinant and rank -------------------------------------------
+# `bareiss_det` and `rank_exact` as they were before they ran the forward pass
+# only: a fraction-free Gauss-Jordan sweep that also clears above each pivot.
+
+
+def _ref_gauss_jordan(m: MatrixQ):
+    den = math.lcm(*{x.denominator for row in m.iter_rows() for x in row})
+    a = [[x.numerator * (den // x.denominator) for x in row] for row in m.iter_rows()]
+    sign = 1
+    prev = 1
+    r = 0
+    for c in range(m.cols):
+        if r == m.rows:
+            break
+        pivot_row = next((i for i in range(r, m.rows) if a[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        if pivot_row != r:
+            a[r], a[pivot_row] = a[pivot_row], a[r]
+            sign = -sign
+        row_r = a[r]
+        p = row_r[c]
+        for i in range(m.rows):
+            if i != r:
+                f = a[i][c]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], row_r)]
+        prev = p
+        r += 1
+    return den, sign, r, prev
+
+
+def ref_gauss_jordan_det(m: MatrixQ) -> Fraction:
+    """Determinant: sign * last Gauss-Jordan pivot / den^n at full rank, else 0."""
+    den, sign, rank, pivot = _ref_gauss_jordan(m)
+    if rank < m.rows:
+        return Fraction(0)
+    return Fraction(sign * pivot, den**m.rows)
+
+
+def ref_gauss_jordan_rank(m: MatrixQ) -> int:
+    """Rank: the number of Gauss-Jordan pivots."""
+    return _ref_gauss_jordan(m)[2]
+
+
+# --- Fraction vector kernels -------------------------------------------------------
+# `MatrixQ.mul_vec`, `VectorQ.dot` and `circ_mul` as they were on Fraction
+# entries, before they moved to ints over a common denominator.
+
+
+def ref_mul_vec(m: MatrixQ, v: VectorQ) -> VectorQ:
+    return VectorQ(sum((a * b for a, b in zip(r, v.entries)), Fraction(0)) for r in m.iter_rows())
+
+
+def ref_dot(u: VectorQ, v: VectorQ) -> Fraction:
+    return sum((a * b for a, b in zip(u.entries, v.entries)), Fraction(0))
+
+
+def ref_circ_mul(x: CirculantQ, y: CirculantQ) -> CirculantQ:
+    """x' times the dense expansion of y, column by column."""
+    ydense = to_dense(y)
+    row = [
+        sum((a * b for a, b in zip(x.first_row.entries, ydense.col(j).entries)), Fraction(0))
+        for j in range(y.order)
+    ]
+    return CirculantQ(VectorQ(row))

@@ -1,14 +1,17 @@
 """Tests for the command-line front end and the verification report schema."""
 
+import dataclasses
 import hashlib
 import json
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
-from wheelecc import checks, cli
+from wheelecc import checks, cli, oracle
+from wheelecc import closedform as cf
 from wheelecc.checks import Check, CheckResult, run_checks
 from wheelecc.cli import cmd_gen, cmd_sweep, cmd_verify, main
 from wheelecc.ratq import VectorQ
@@ -332,3 +335,104 @@ def test_oracle_only_report_times_each_measurement(monkeypatch):
         "oracle_det", "oracle_inertia", "oracle_rank", "oracle_irreducible", "oracle_spectral_radius",
     ]
     assert [c.wall_time_ms for c in timed] == pytest.approx([1.0, 5.0, 9.0, 13.0, 17.0])
+
+
+@pytest.mark.parametrize("n", [12, 13, 14])
+def test_each_closed_form_is_built_once_per_n(monkeypatch, n):
+    calls = Counter()
+    for name in ("laplacian_tilde", "laplacian_hat", "ecc_matrix_wheel"):
+        genuine = getattr(cf, name)
+
+        def counted(*args, _name=name, _genuine=genuine):
+            calls[_name] += 1
+            return _genuine(*args)
+
+        for mod in [m for k, m in sys.modules.items() if k.startswith("wheelecc")]:
+            if getattr(mod, name, None) is genuine:
+                monkeypatch.setattr(mod, name, counted)
+    assert run_checks(n).ok
+    lap = "laplacian_hat" if n % 3 == 1 else "laplacian_tilde"
+    assert calls == {"ecc_matrix_wheel": 1, lap: 1}
+
+
+def _raise_in(monkeypatch, name):
+    """Make the runner of the named check raise ZeroDivisionError("boom at n = <n>")."""
+
+    def boom(ctx):
+        raise ZeroDivisionError(f"boom at n = {ctx.n}")
+
+    patched = tuple(dataclasses.replace(c, run=boom) if c.name == name else c for c in checks.CHECKS)
+    monkeypatch.setattr(checks, "CHECKS", patched)
+
+
+def test_raising_check_becomes_error_result(monkeypatch, capsys):
+    code, out, _ = run_main(capsys, ["verify", "7", "--format", "json"])
+    baseline = json.loads(out)
+    assert code == 0
+    _raise_in(monkeypatch, "det_thm_3_4")
+    code, out, _ = run_main(capsys, ["verify", "7", "--format", "json"])
+    report = json.loads(out)
+    assert code == 1
+    assert list(report) == list(baseline)  # no new summary key
+    assert (report["pass"], report["fail"], report["skip"]) == (
+        baseline["pass"] - 1, baseline["fail"] + 1, baseline["skip"],
+    )
+    by_name = {c["name"]: c for c in report["checks"]}
+    assert by_name["det_thm_3_4"] == {
+        "name": "det_thm_3_4",
+        "status": "error",
+        "expected": "",
+        "actual": "ZeroDivisionError: boom at n = 7",
+    }
+    others = [c for c in report["checks"] if c["name"] != "det_thm_3_4"]
+    assert others == [c for c in baseline["checks"] if c["name"] != "det_thm_3_4"]
+    code, out, err = run_main(capsys, ["verify", "7"])
+    assert code == 1
+    assert "  ERROR  det_thm_3_4" in out and "ZeroDivisionError: boom at n = 7" in out
+    assert "check det_thm_3_4 raised at n = 7:" in err and "Traceback" in err
+
+
+def test_raising_oracle_measurement_at_n4_becomes_error_result(monkeypatch):
+    def boom(m):
+        raise ArithmeticError("no determinant")
+
+    monkeypatch.setattr(oracle, "bareiss_det", boom)
+    report = run_checks(4)
+    statuses = {c.name: (c.status, c.actual) for c in report.checks}
+    assert statuses["oracle_det"] == ("error", "ArithmeticError: no determinant")
+    assert statuses["oracle_rank"] == ("pass", "4")
+    assert not report.ok
+
+
+def test_raising_check_under_jobs_is_reported(monkeypatch, capsys):
+    monkeypatch.setattr(_RecordingPool, "started", [])
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    _raise_in(monkeypatch, "inertia_thm_4_6")
+    code, out, err = run_main(capsys, ["sweep", "5", "7", "--jobs", "3", "--format", "json"])
+    assert _RecordingPool.started == [3]
+    assert code == 1
+    body = json.loads(out)
+    assert body["total_fail"] == 3 and body["first_failure"] == 5
+    for r in body["reports"]:
+        errors = [c for c in r["checks"] if c["status"] == "error"]
+        assert [(c["name"], c["actual"]) for c in errors] == [
+            ("inertia_thm_4_6", f"ZeroDivisionError: boom at n = {r['n']}")
+        ]
+    assert "3 failing checks" in err
+
+
+def test_irreducibility_routes_disagreeing_is_a_failure(monkeypatch):
+    genuine = oracle.literal_power_positive
+    baseline = {c.name: c for c in run_checks(7).checks}
+    monkeypatch.setattr(oracle, "literal_power_positive", lambda m: not genuine(m))
+    report = {c.name: c for c in run_checks(7).checks}
+    got = report.pop("irreducible_prop_2_3")
+    assert baseline.pop("irreducible_prop_2_3").status == "pass"
+    assert (got.status, got.expected) == ("fail", "true")
+    assert got.actual == (
+        "false (routes disagree: strong connectivity true, (I + E)^(n-1) > 0 false)"
+    )
+    assert {k: c.status for k, c in report.items()} == {k: c.status for k, c in baseline.items()}
+    # above the literal-power cutoff only strong connectivity runs
+    assert {c.name: c.status for c in run_checks(13).checks}["irreducible_prop_2_3"] == "pass"

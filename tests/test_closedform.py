@@ -29,7 +29,6 @@ from wheelecc.closedform import (
     quotient_matrix,
     rank_E_closed,
     spectral_radius_closed,
-    tridiag_formula_in_domain,
     weight_w,
     wheel_u,
 )
@@ -119,12 +118,10 @@ def test_det_tridiagonal_rational_root_path():
     # a=3, b=2, c=1: discriminant 1, roots 2 and 1, determinant 2^(m+1) - 1
     for order in range(1, 12):
         assert det_tridiagonal_closed(order, 3, 2, 1) == 2 ** (order + 1) - 1
-    assert tridiag_formula_in_domain(3, 2, 1)
 
 
 def test_det_tridiagonal_outside_formula_domain():
     # a=2, b=c=1 has a^2 == 4bc; the recurrence gives order + 1
-    assert not tridiag_formula_in_domain(2, 1, 1)
     for order in range(1, 10):
         assert det_tridiagonal_closed(order, 2, 1, 1) == order + 1
         assert bareiss_det(tridiagonal(TridiagSpec(order, 2, 1, 1))) == order + 1

@@ -1,8 +1,10 @@
 """Differential tests: the fraction-free elimination core against slower exact routes.
 
-`bareiss_det`, `rank_exact` and `inverse_exact` all read their answer off one
-integer Gauss-Jordan elimination.  Each is compared with the Fraction row
-reductions kept in `helpers` and, where sympy is installed, with sympy.
+`bareiss_det` and `rank_exact` read their answer off the forward pass of one
+integer elimination, `inverse_exact` and `eliminate` off its Gauss-Jordan
+form.  Each is compared with the Fraction row reductions and the Gauss-Jordan
+determinant and rank kept in `helpers` and, where sympy is installed, with
+sympy.
 """
 
 import random
@@ -10,9 +12,23 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import rand_fraction, ref_bareiss_det, ref_inverse_exact, ref_rank_exact
+from helpers import (
+    rand_fraction,
+    ref_bareiss_det,
+    ref_gauss_jordan_det,
+    ref_gauss_jordan_rank,
+    ref_inverse_exact,
+    ref_rank_exact,
+)
 from wheelecc.closedform import ecc_matrix_wheel, laplacian_hat, laplacian_tilde
-from wheelecc.oracle import SingularMatrixError, bareiss_det, inverse_exact, rank_exact
+from wheelecc.oracle import (
+    Elimination,
+    SingularMatrixError,
+    bareiss_det,
+    eliminate,
+    inverse_exact,
+    rank_exact,
+)
 from wheelecc.ratq import MatrixQ, ShapeError, mat_mul
 
 DENOMINATORS = (1, 2, 3, 4, 6, 7, 12)
@@ -79,6 +95,32 @@ def test_core_matches_fraction_routes_random():
     assert min(kinds_seen.values()) >= 300, kinds_seen
 
 
+def test_forward_pass_matches_gauss_jordan_random():
+    rng = random.Random(20250311)
+    for t in range(2400):
+        m = _random_case(rng, t)
+        assert rank_exact(m) == ref_gauss_jordan_rank(m)
+        if m.rows == m.cols:
+            assert bareiss_det(m) == ref_gauss_jordan_det(m)
+            assert eliminate(m) == Elimination(
+                ref_bareiss_det(m), ref_rank_exact(m), ref_inverse_exact(m)
+            )
+        else:
+            with pytest.raises(ShapeError):
+                eliminate(m)
+
+
+def test_forward_pass_skipped_columns_and_wide_matrices():
+    # zero columns between pivots, and more columns than rows
+    m = MatrixQ([[0, 2, 0, 1, 5], [0, 4, 0, 2, 1], [0, 0, 0, 3, 0]])
+    assert rank_exact(m) == ref_gauss_jordan_rank(m) == 3
+    m = MatrixQ([[0, 0, 1], [0, 0, 2], [0, 0, 3]])
+    assert rank_exact(m) == 1 and bareiss_det(m) == 0
+    # a zero leading pivot that needs a swap past several rows
+    m = MatrixQ([[0, 1, 1], [0, 2, 3], [Fraction(1, 2), 0, 1]])
+    assert bareiss_det(m) == ref_gauss_jordan_det(m) == Fraction(1, 2)
+
+
 def test_core_row_swaps_and_skipped_columns():
     # zero leading pivot: one swap flips the sign
     assert bareiss_det(MatrixQ([[0, 2], [3, 1]])) == -6
@@ -112,6 +154,16 @@ def test_core_matches_fraction_routes_on_wheel_matrices(n):
                 inverse_exact(m)
         else:
             assert inverse_exact(m) == ref_inverse_exact(m)
+
+
+@pytest.mark.parametrize("n", range(5, 41))
+def test_eliminate_matches_separate_oracle_calls_on_E(n):
+    e = ecc_matrix_wheel(n)
+    elim = eliminate(e)
+    assert elim.det == bareiss_det(e)
+    assert elim.rank == rank_exact(e)
+    assert elim.inverse == _oracle_inverse(e)
+    assert (elim.inverse is None) == (n % 3 == 1)
 
 
 def _from_sympy(x) -> Fraction:

@@ -16,14 +16,13 @@ from wheelecc.graphs import (
     delete_cycle_edge,
     eccentricities,
     eccentricity_matrix_definitional,
-    edge_list,
 )
 from wheelecc.ratq import MatrixQ, VectorQ, identity, jmatrix
 
 
 def test_wheel_spec_fields():
     ws = WheelSpec.of(7)
-    assert (ws.n, ws.residue, ws.parity) == (7, 1, 1)
+    assert ws.n == 7
     with pytest.raises(GraphError):
         WheelSpec.of(3)
 
@@ -171,13 +170,6 @@ def test_minus_edge_nested_principal_submatrices():
         if prev is not None:
             assert e.submatrix(0, n - 1, 0, n - 1) == prev
         prev = e
-
-
-def test_edge_list_export():
-    lines = edge_list(build_wheel(5)).splitlines()
-    assert lines[0] == "1 2"
-    assert len(lines) == 8
-    assert all(len(line.split()) == 2 for line in lines)
 
 
 def test_eccentricities_rejects_malformed():

@@ -1,9 +1,10 @@
 """Differential tests: the int kernels against the Fraction routines they replace.
 
-`mat_mul` multiplies ints over the operands' common denominators, and
-`inertia_exact` runs a fraction-free symmetric congruence.  Both are compared
-with the Fraction versions kept in `helpers`, inertia pivot log and all, and
-inertia also with sympy's characteristic polynomial where sympy is installed.
+`mat_mul`, `MatrixQ.mul_vec`, `VectorQ.dot` and `circ_mul` multiply ints over
+the operands' common denominators, and `inertia_exact` runs a fraction-free
+symmetric congruence.  All are compared with the Fraction versions kept in
+`helpers`, inertia pivot log and all, and inertia also with sympy's
+characteristic polynomial where sympy is installed.
 """
 
 import random
@@ -11,10 +12,18 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import rand_fraction, ref_inertia_exact, ref_mat_mul
+from helpers import (
+    rand_fraction,
+    ref_circ_mul,
+    ref_dot,
+    ref_inertia_exact,
+    ref_mat_mul,
+    ref_mul_vec,
+)
 from wheelecc import closedform as cf
+from wheelecc.circulant import CirculantQ, circ_mul
 from wheelecc.oracle import PIVOT_HYPERBOLIC, PIVOT_ZERO, inertia_exact
-from wheelecc.ratq import MatrixQ, ShapeError, int_rows, mat_mul
+from wheelecc.ratq import MatrixQ, ShapeError, VectorQ, int_entries, int_rows, mat_mul
 
 DENOMINATORS = (1, 2, 3, 4, 6, 7, 12)
 
@@ -44,6 +53,32 @@ def test_mat_mul_matches_fraction_product_random():
         assert mat_mul(a, b) == ref_mat_mul(a, b)
     with pytest.raises(ShapeError):
         mat_mul(MatrixQ([[1, 2]]), MatrixQ([[1, 2]]))
+
+
+def test_int_entries_is_exact_scaling():
+    v = VectorQ([Fraction(1, 2), Fraction(-2, 3), 0])
+    assert int_entries(v) == ([3, -4, 0], 6)
+    assert int_entries(VectorQ([3, -1])) == ([3, -1], 1)
+
+
+def test_vector_kernels_match_fraction_routes_random():
+    rng = random.Random(20250312)
+    for _ in range(2400):
+        rows, cols = rng.randint(1, 9), rng.randint(1, 9)
+        max_den = rng.choice(DENOMINATORS)
+        density = rng.choice((1.0, 0.5, 0.1))
+        m = MatrixQ(_rand_rows(rng, rows, cols, max_den, density))
+        u, v, x, y = (VectorQ(row) for row in _rand_rows(rng, 4, cols, rng.choice(DENOMINATORS), density))
+        assert m.mul_vec(v) == ref_mul_vec(m, v)
+        assert u.dot(v) == ref_dot(u, v)
+        x, y = CirculantQ(x), CirculantQ(y)
+        assert circ_mul(x, y) == ref_circ_mul(x, y)
+    with pytest.raises(ShapeError):
+        MatrixQ([[1, 2]]).mul_vec(VectorQ([1]))
+    with pytest.raises(ShapeError):
+        VectorQ([1, 2]).dot(VectorQ([1]))
+    with pytest.raises(ShapeError):
+        circ_mul(CirculantQ(VectorQ([1, 2])), CirculantQ(VectorQ([1])))
 
 
 def _random_symmetric(rng: random.Random, t: int) -> MatrixQ:
@@ -122,6 +157,14 @@ def test_int_kernels_match_fraction_routes_on_wheel_matrices(n):
         assert _report(m) == ref_inertia_exact(m)
     assert inertia_exact(e).inertia == cf.inertia_E_closed(n)
     assert inertia_exact(e_me).inertia == cf.inertia_E_minus_edge_closed(n)
+    w = cf.weight_w(n)
+    for m in (e, e_me, lap, x):
+        assert m.mul_vec(w) == ref_mul_vec(m, w)
+        assert m.row(1).dot(w) == ref_dot(m.row(1), w)
+    block = cf.m_circulant(n) if n % 3 != 1 else cf.p_circulant(n)
+    u = CirculantQ(cf.wheel_u(n))
+    assert circ_mul(block, u) == ref_circ_mul(block, u)
+    assert circ_mul(u, block) == ref_circ_mul(u, block)
 
 
 def _descartes_inertia(sympy, m: MatrixQ) -> tuple[int, int, int]:

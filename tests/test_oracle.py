@@ -12,6 +12,7 @@ from wheelecc.closedform import (
     ecc_matrix_wheel,
     inertia_E_closed,
     laplacian_hat,
+    laplacian_tilde,
     pinv_E_closed,
     rank_E_closed,
     spectral_radius_closed,
@@ -24,6 +25,7 @@ from wheelecc.oracle import (
     inertia_exact,
     inverse_exact,
     is_irreducible,
+    literal_power_positive,
     penrose_check,
     power_iteration_rho,
     rank_certificate_check,
@@ -215,6 +217,17 @@ def test_irreducible_agrees_with_literal_power_random():
         assert got == literal
 
 
+def test_literal_power_route_matches_connectivity_random():
+    rng = random.Random(240)
+    for _ in range(100):
+        n = rng.randint(2, 6)
+        m = MatrixQ([[rng.choice([0, 0, 1]) if i != j else 0 for j in range(n)] for i in range(n)])
+        sym = m + m.transpose()
+        assert literal_power_positive(sym) == is_irreducible(sym)
+    assert literal_power_positive(ecc_matrix_wheel(7))
+    assert not literal_power_positive(identity(3))
+
+
 # --- power iteration ---------------------------------------------------------
 
 
@@ -245,8 +258,8 @@ def test_power_iteration_non_convergence_reports_last():
 
 
 def test_rank_certificate_10_and_13():
-    assert rank_certificate_check(10)
-    assert rank_certificate_check(13)
+    assert rank_certificate_check(laplacian_hat(10), ecc_matrix_wheel(10))
+    assert rank_certificate_check(laplacian_hat(13), ecc_matrix_wheel(13))
 
 
 def test_rank_certificate_vectors_shape():
@@ -259,6 +272,7 @@ def test_rank_certificate_vectors_shape():
 
 def test_rank_certificate_rejects_out_of_domain():
     with pytest.raises(ValueError):
-        rank_certificate_check(7)  # valid residue but below the n >= 10 construction
+        # valid residue but below the n >= 10 construction
+        rank_certificate_check(laplacian_hat(7), ecc_matrix_wheel(7))
     with pytest.raises(ValueError):
-        rank_certificate_check(11)
+        rank_certificate_check(laplacian_tilde(11), ecc_matrix_wheel(11))
