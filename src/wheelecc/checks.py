@@ -33,7 +33,7 @@ from .circulant import (
     to_dense,
     tridiagonal,
 )
-from .ratq import MatrixQ, VectorQ, identity, mat_mul, ones_vector, rat_str
+from .ratq import MatrixQ, VectorQ, identity, int_entries, int_rows, mat_mul, ones_vector, rat_str
 
 POWER_ITERATION_TOL = 1e-12
 DEFAULT_REPORT_TOL = 1e-8
@@ -365,7 +365,8 @@ def _chk_Ew(ctx):
 def _chk_LE_identity(ctx):
     n = ctx.n
     lhs = mat_mul(ctx.L, ctx.E) + identity(n).scaled(2)
-    rhs = MatrixQ([[2 * ctx.w[i] for _ in range(n)] for i in range(n)])
+    w, dw = int_entries(ctx.w)
+    rhs = MatrixQ.from_ints(([2 * x] * n for x in w), dw)
     return _mat_eq(rhs, lhs)
 
 
@@ -440,12 +441,12 @@ def _chk_pinv(ctx):
 def _chk_pinv_XE(ctx):
     n = ctx.n
     lhs = mat_mul(ctx.pinv, ctx.E)
-    v = to_dense(CirculantQ(VectorQ([2, -1, -1] * ((n - 1) // 3))))
-    rows = [list(r) for r in identity(n).iter_rows()]
-    for i in range(n - 1):
-        for j in range(n - 1):
-            rows[i + 1][j + 1] -= Fraction(1, n - 1) * v[i, j]
-    return _mat_eq(MatrixQ(rows), lhs)
+    v, dv = int_rows(to_dense(CirculantQ(VectorQ([2, -1, -1] * ((n - 1) // 3)))))
+    # I - blockdiag(0, V / (n-1)), over the denominator d
+    d = dv * (n - 1)
+    rows = [[d] + [0] * (n - 1)]
+    rows.extend([0] + [(d if i == j else 0) - x for j, x in enumerate(r)] for i, r in enumerate(v))
+    return _mat_eq(MatrixQ.from_ints(rows, d), lhs)
 
 
 def _chk_rank_Lhat(ctx):

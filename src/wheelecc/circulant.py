@@ -62,14 +62,13 @@ def shift_T(v: VectorQ, k: int = 1) -> VectorQ:
 
 
 def to_dense(c: CirculantQ) -> MatrixQ:
-    """Dense expansion: row i is the first row shifted right i times."""
-    m = c.order
+    """Dense expansion, int-backed: row i is the first row shifted right i times."""
+    row, den = int_entries(c.first_row)
     rows = []
-    row = list(c.first_row.entries)
-    for _ in range(m):
-        rows.append(list(row))
+    for _ in range(c.order):
+        rows.append(row)
         row = [row[-1]] + row[:-1]
-    return MatrixQ(rows)
+    return MatrixQ.from_ints(rows, den)
 
 
 def circ_mul(x: CirculantQ, y: CirculantQ) -> CirculantQ:

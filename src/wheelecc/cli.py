@@ -25,7 +25,7 @@ from .checks import DEFAULT_REPORT_TOL, VerificationReport, run_checks
 from .circulant import ResidueClassError
 from .ratq import MatrixQ, VectorQ
 
-MAX_SWEEP_N = 200
+MAX_N = 200  # dense exact matrices: memory and bignum growth set the limit
 
 GEN_OBJECTS = (
     "E",
@@ -84,12 +84,25 @@ def _render_gen(value, fmt: str) -> str:
     return "\n".join("(" + "  ".join(v) + ")" for v in vecs)
 
 
-def cmd_gen(obj: str, n: int, fmt: str = "pretty") -> str:
+def _check_max_n(n: int, max_n_override: bool, what: str = "n") -> None:
+    """The guardrail shared by all three verbs: n above MAX_N needs the override."""
+    if n > MAX_N and not max_n_override:
+        raise ValueError(
+            f"{what} = {n} exceeds the dense-exact guardrail {MAX_N}; "
+            "pass --max-n-override to proceed"
+        )
+
+
+def cmd_gen(obj: str, n: int, fmt: str = "pretty", max_n_override: bool = False) -> str:
     """Serialize one closed-form object; raises ResidueClassError or ValueError."""
+    _check_max_n(n, max_n_override)
     return _render_gen(_gen_value(obj, n), fmt)
 
 
-def cmd_verify(n: int, tol: float = DEFAULT_REPORT_TOL) -> VerificationReport:
+def cmd_verify(
+    n: int, tol: float = DEFAULT_REPORT_TOL, max_n_override: bool = False
+) -> VerificationReport:
+    _check_max_n(n, max_n_override)
     return run_checks(n, tol)
 
 
@@ -111,11 +124,7 @@ def cmd_sweep(
     """
     if n_min < 4 or n_max < n_min:
         raise ValueError(f"invalid range {n_min}..{n_max}; need 4 <= n_min <= n_max")
-    if n_max > MAX_SWEEP_N and not max_n_override:
-        raise ValueError(
-            f"n_max = {n_max} exceeds the dense-exact guardrail {MAX_SWEEP_N}; "
-            "pass --max-n-override to proceed"
-        )
+    _check_max_n(n_max, max_n_override, "n_max")
     work = [(n, tol) for n in range(n_min, n_max + 1)]
     workers = min(jobs, os.cpu_count() or 1, len(work))
     if workers > 1:
@@ -251,6 +260,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("object", choices=GEN_OBJECTS)
     p_gen.add_argument("n", type=int)
     p_gen.add_argument("--format", choices=("json", "csv", "pretty"), default="pretty")
+    p_gen.add_argument("--max-n-override", action="store_true",
+                       help=f"allow n beyond the default guardrail of {MAX_N}")
 
     p_verify = sub.add_parser("verify", help="run all checks for one n")
     p_verify.add_argument("n", type=int)
@@ -259,6 +270,8 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="report tolerance for the power-iteration check")
     p_verify.add_argument("--timings", action="store_true",
                           help="include wall times (breaks byte-determinism)")
+    p_verify.add_argument("--max-n-override", action="store_true",
+                          help=f"allow n beyond the default guardrail of {MAX_N}")
 
     p_sweep = sub.add_parser("sweep", help="verify a range of n")
     p_sweep.add_argument("n_min", type=int)
@@ -268,7 +281,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--format", choices=("json", "csv", "pretty"), default="pretty")
     p_sweep.add_argument("--tol", type=_tolerance, default=DEFAULT_REPORT_TOL)
     p_sweep.add_argument("--max-n-override", action="store_true",
-                         help=f"allow n_max beyond the default guardrail of {MAX_SWEEP_N}")
+                         help=f"allow n_max beyond the default guardrail of {MAX_N}")
     p_sweep.add_argument("--timings", action="store_true")
     return parser
 
@@ -279,7 +292,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "gen":
         try:
-            print(cmd_gen(args.object, args.n, args.format))
+            print(cmd_gen(args.object, args.n, args.format, args.max_n_override))
         except (ResidueClassError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
@@ -287,7 +300,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "verify":
         try:
-            report = cmd_verify(args.n, tol=args.tol)
+            report = cmd_verify(args.n, tol=args.tol, max_n_override=args.max_n_override)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

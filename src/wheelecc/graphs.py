@@ -12,7 +12,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ratq import MatrixQ, VectorQ
+from .ratq import MatrixQ, VectorQ, int_rows
 
 
 class GraphError(ValueError):
@@ -87,9 +87,8 @@ def delete_cycle_edge(g: Graph) -> Graph:
 def bfs_distances(g: Graph) -> MatrixQ:
     """All-pairs shortest path lengths by BFS from every vertex.
 
-    Distances are stored as exact rationals (denominator 1) so downstream
-    algebra stays in a single scalar type.  Raises GraphError if the graph
-    is disconnected.
+    Distances are exact integers, held as an int-backed matrix (see
+    `MatrixQ.from_ints`).  Raises GraphError if the graph is disconnected.
     """
     n = g.vertex_count
     rows = []
@@ -106,34 +105,37 @@ def bfs_distances(g: Graph) -> MatrixQ:
         if any(d < 0 for d in dist):
             raise GraphError(f"graph is disconnected (vertex {s} does not reach all vertices)")
         rows.append(dist)
-    return MatrixQ(rows)
+    return MatrixQ.from_ints(rows)
 
 
-def _check_distance_matrix(d: MatrixQ) -> None:
+def _distance_ints(d: MatrixQ) -> tuple[list[list[int]], int]:
+    """d over one positive denominator (`int_rows`), once d is checked to be a distance matrix."""
     if d.rows != d.cols:
         raise GraphError("distance matrix must be square")
-    for i in range(d.rows):
-        if d[i, i] != 0:
-            raise GraphError("distance matrix must have zero diagonal")
+    a, den = int_rows(d)
+    if any(a[i][i] != 0 for i in range(d.rows)):
+        raise GraphError("distance matrix must have zero diagonal")
     if not d.is_symmetric():
         raise GraphError("distance matrix must be symmetric")
+    return a, den
 
 
 def eccentricities(d: MatrixQ) -> VectorQ:
     """Per-vertex eccentricity: the maximum entry of each distance-matrix row."""
-    _check_distance_matrix(d)
-    return VectorQ(max(d.row(i)) for i in range(d.rows))
+    a, den = _distance_ints(d)
+    return VectorQ(Fraction(max(r), den) for r in a)
 
 
 def eccentricity_matrix_definitional(d: MatrixQ) -> MatrixQ:
-    """Keep d(i,j) where it attains min(ecc(i), ecc(j)); zero elsewhere."""
-    _check_distance_matrix(d)
-    ecc = eccentricities(d)
-    n = d.rows
-    return MatrixQ(
-        [
-            d[i, j] if i != j and d[i, j] == min(ecc[i], ecc[j]) else Fraction(0)
-            for j in range(n)
-        ]
-        for i in range(n)
+    """Keep d(i,j) where it attains min(ecc(i), ecc(j)); zero elsewhere.
+
+    Computed on d's integer rows: scaling by a positive denominator keeps
+    every maximum and every equality.
+    """
+    a, den = _distance_ints(d)
+    ecc = [max(r) for r in a]
+    return MatrixQ.from_ints(
+        ([x if i != j and x == min(ecc[i], ecc[j]) else 0 for j, x in enumerate(r)]
+         for i, r in enumerate(a)),
+        den,
     )

@@ -1,11 +1,11 @@
 """Independent definitional verifiers for the closed-form layer.
 
 Nothing here reuses a formula from `closedform`: determinants and ranks come
-from the forward pass of one fraction-free elimination and inverses from its
-Gauss-Jordan form, inertia from fraction-free symmetric congruence pivoting,
-the spectral radius from floating-point power iteration, and irreducibility
-from strong connectivity of the support digraph.  These are the second route of every dual-route
-check.
+from the forward pass of one fraction-free elimination and inverses from a
+fraction-free back substitution after it, inertia from fraction-free
+symmetric congruence pivoting, the spectral radius from floating-point power
+iteration, and irreducibility from strong connectivity of the support
+digraph.  These are the second route of every dual-route check.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .circulant import CirculantQ, to_dense
 from .closedform import InertiaTriple
-from .ratq import MatrixQ, ShapeError, VectorQ, identity, int_rows, mat_mul
+from .ratq import MatrixQ, ShapeError, VectorQ, identity, int_entries, int_rows, mat_mul
 
 PIVOT_POS = "pos"
 PIVOT_NEG = "neg"
@@ -49,20 +49,18 @@ class CongruenceReport:
         return (plus, minus, zero) == self.inertia.as_tuple()
 
 
-def _fraction_free_elimination(m: MatrixQ, augment: bool = False, jordan: bool = False):
-    """Fraction-free elimination on Python ints.
+def _fraction_free_elimination(m: MatrixQ, augment: bool = False):
+    """Forward fraction-free elimination on Python ints.
 
-    Scales m by den, the lcm of its denominators, and with augment appends
-    the identity on the right.  Pivots on the first nonzero entry in each
-    column (a column with none is skipped) and updates the rows below the
-    pivot, and with jordan also the rows above it, by
-    (p * a_ij - a_ic * a_rj) // prev, where p is the new pivot and prev the
-    one before it.  The division is exact (Bareiss 1968; Nakos, Turner and
-    Williams 1997 for the Gauss-Jordan form), so no fraction ever appears.
-    The forward pass alone gives the rank and, at full rank, the determinant
-    of the scaled matrix as the last pivot.  Returns (rows, den, sign, rank,
-    pivot): the reduced rows, den, the sign of the row swaps, the number of
-    pivots and the last pivot.
+    Scales m by den, a positive common denominator (`int_rows`), and with
+    augment appends the identity on the right.  Pivots on the first nonzero
+    entry in each column of m (a column with none is skipped) and updates
+    the rows below the pivot by (p * a_ij - a_ic * a_rj) // prev, where p is
+    the new pivot and prev the one before it.  The division is exact
+    (Bareiss 1968), so no fraction ever appears.  This gives the rank and,
+    at full rank, the determinant of the scaled matrix as the last pivot.
+    Returns (rows, den, sign, rank, pivot): the reduced rows, den, the sign
+    of the row swaps, the number of pivots and the last pivot.
     """
     a, den = int_rows(m)
     if augment:
@@ -82,17 +80,36 @@ def _fraction_free_elimination(m: MatrixQ, augment: bool = False, jordan: bool =
             sign = -sign
         row_r = a[r]
         p = row_r[c]
-        # below the pivot, columns left of c are already zero; above it they are not
-        start = 0 if jordan else c
-        tail = row_r[start:]
-        for i in range(m.rows) if jordan else range(r + 1, m.rows):
-            if i != r:
-                row_i = a[i]
-                f = row_i[c]
-                row_i[start:] = [(p * x - f * y) // prev for x, y in zip(row_i[start:], tail)]
+        tail = row_r[c:]  # columns left of c are already zero below the pivot
+        for i in range(r + 1, m.rows):
+            row_i = a[i]
+            f = row_i[c]
+            row_i[c:] = [(p * x - f * y) // prev for x, y in zip(row_i[c:], tail)]
         prev = p
         r += 1
     return a, den, sign, r, prev
+
+
+def _back_substitution(a: list[list[int]], n: int) -> list[list[int]]:
+    """d * A^-1 from the forward-eliminated [A | I] of a nonsingular order-n A.
+
+    Row i of the reduced rows is [0 .. 0 u_ii .. u_in | b_i] with u_nn = d,
+    the last pivot, and A X = I has the same solution as U X = B.  Solving
+    bottom-up for d X, row i is (d b_i - sum_(j > i) u_ij (d X)_j) / u_ii,
+    an exact division because d X = +-adj(A) is integral.
+    """
+    d = a[n - 1][n - 1]
+    dx: list[list[int]] = [[]] * n
+    for i in range(n - 1, -1, -1):
+        row = a[i]
+        acc = [d * b for b in row[n:]]
+        for j in range(i + 1, n):
+            u = row[j]
+            if u:
+                acc = [s - u * x for s, x in zip(acc, dx[j])]
+        p = row[i]
+        dx[i] = [s // p for s in acc]
+    return dx
 
 
 def bareiss_det(m: MatrixQ) -> Fraction:
@@ -121,24 +138,28 @@ class Elimination:
 
 
 def eliminate(m: MatrixQ) -> Elimination:
-    """One Gauss-Jordan elimination of [m | I], read three ways.
+    """One forward elimination of [m | I], read three ways.
 
     Gives the same det, rank and inverse as `bareiss_det`, `rank_exact` and
-    `inverse_exact`, for callers that need all three of one matrix.  The
-    inverse is den * (right block of the reduced [m | I]) / last pivot.
+    `inverse_exact`, for callers that need all three of one matrix.  Only at
+    full rank does a fraction-free back substitution follow; the inverse is
+    den * (d * A^-1) / d for the scaled matrix A = den * m and its last
+    pivot d, and it is int-backed.
     """
     if m.rows != m.cols:
         raise ShapeError(f"elimination needs a square matrix, got {m.rows}x{m.cols}")
     n = m.rows
-    a, den, sign, rank, pivot = _fraction_free_elimination(m, augment=True, jordan=True)
+    a, den, sign, rank, pivot = _fraction_free_elimination(m, augment=True)
     if rank < n:
         return Elimination(Fraction(0), rank, None)
-    inverse = MatrixQ([Fraction(den * x, pivot) for x in row[n:]] for row in a)
+    g = den if pivot > 0 else -den
+    adj = _back_substitution(a, n)
+    inverse = MatrixQ.from_ints(([g * x for x in row] for row in adj), abs(pivot))
     return Elimination(Fraction(sign * pivot, den**n), rank, inverse)
 
 
 def inverse_exact(m: MatrixQ) -> MatrixQ:
-    """Exact inverse by Gauss-Jordan elimination of [m | I] (see `eliminate`)."""
+    """Exact inverse by fraction-free elimination of [m | I] (see `eliminate`)."""
     if m.rows != m.cols:
         raise ShapeError(f"inversion needs a square matrix, got {m.rows}x{m.cols}")
     inverse = eliminate(m).inverse
@@ -231,10 +252,10 @@ def penrose_check(e: MatrixQ, x: MatrixQ) -> tuple[bool, bool, bool, bool]:
     )
 
 
-def _strongly_connected(m: MatrixQ) -> bool:
-    n = m.rows
-    forward = [[j for j in range(n) if j != i and m[i, j] != 0] for i in range(n)]
-    backward = [[j for j in range(n) if j != i and m[j, i] != 0] for i in range(n)]
+def _strongly_connected(a: list[list[int]]) -> bool:
+    n = len(a)
+    forward = [[j for j in range(n) if j != i and a[i][j] != 0] for i in range(n)]
+    backward = [[j for j in range(n) if j != i and a[j][i] != 0] for i in range(n)]
     for adj in (forward, backward):
         seen = {0}
         stack = [0]
@@ -260,7 +281,8 @@ def literal_power_positive(m: MatrixQ) -> bool:
     base = identity(n) + m
     for _ in range(n - 1):
         acc = mat_mul(acc, base)
-    return all(x > 0 for row in acc.iter_rows() for x in row)
+    rows, _ = int_rows(acc)  # a positive denominator keeps every sign
+    return all(x > 0 for row in rows for x in row)
 
 
 def is_irreducible(m: MatrixQ) -> bool:
@@ -273,9 +295,10 @@ def is_irreducible(m: MatrixQ) -> bool:
     """
     if m.rows != m.cols:
         raise ShapeError(f"need a square matrix, got {m.rows}x{m.cols}")
-    if any(x < 0 for row in m.iter_rows() for x in row):
+    a, _ = int_rows(m)
+    if any(x < 0 for row in a for x in row):
         raise ValueError("irreducibility test requires entrywise non-negative input")
-    return _strongly_connected(m)
+    return _strongly_connected(a)
 
 
 def power_iteration_rho(m: MatrixQ, tol: float = 1e-12, max_iters: int = 10000) -> float:
@@ -288,7 +311,8 @@ def power_iteration_rho(m: MatrixQ, tol: float = 1e-12, max_iters: int = 10000) 
     if m.rows != m.cols:
         raise ShapeError(f"need a square matrix, got {m.rows}x{m.cols}")
     n = m.rows
-    a = [[float(x) for x in row] for row in m.iter_rows()]
+    rows, den = int_rows(m)
+    a = [[x / den for x in row] for row in rows]  # int true division rounds like float(Fraction)
     x = [1.0] * n
     lam_prev = 0.0
     for _ in range(max_iters):
@@ -337,18 +361,15 @@ def rank_certificate_check(lhat: MatrixQ, e: MatrixQ) -> bool:
     if n % 3 != 1 or n < 10:
         raise ValueError(f"rank certificate needs n % 3 == 1 and n >= 10, got {n}")
     s = VectorQ([-2, 0, 0] + [-1, 0, 0] * ((n - 7) // 3))
-    sdense = to_dense(CirculantQ(s))
-    half = Fraction(1, 2)
-    x_rows = [[half * (n - 10)] + [half * (n - 7)] * (n - 4)]
-    for i in range(n - 4):
-        x_rows.append([-half] + [3 * half * v for v in sdense.row(i)])
-    x_rows.extend([[Fraction(0)] * (n - 3) for _ in range(3)])
-    x = MatrixQ(x_rows)
+    sdense, _ = int_rows(to_dense(CirculantQ(s)))  # s is integral: denominator 1
+    x_rows = [[n - 10] + [n - 7] * (n - 4)]  # X over the denominator 2
+    x_rows.extend([-1] + [3 * v for v in row] for row in sdense)
+    x_rows.extend([0] * (n - 3) for _ in range(3))
+    x = MatrixQ.from_ints(x_rows, 2)
 
-    p, q, r = rank_certificate_vectors(n)
-    c_rows = [[Fraction(3) if i == j else Fraction(0) for j in range(n - 3)] for i in range(n - 3)]
-    c_rows.extend([list(p.entries), list(q.entries), list(r.entries)])
-    c = MatrixQ(c_rows)
+    c_rows = [[3 if i == j else 0 for j in range(n - 3)] for i in range(n - 3)]
+    c_rows.extend(int_entries(v)[0] for v in rank_certificate_vectors(n))
+    c = MatrixQ.from_ints(c_rows)
 
     lhs = mat_mul(mat_mul(lhat, e), x)
     return lhs == c and rank_exact(c) == n - 3

@@ -1,8 +1,11 @@
 """Exact rational vectors and dense matrices.
 
-All scalars are `fractions.Fraction`: arbitrary-precision integers over a
+Scalars are `fractions.Fraction`: arbitrary-precision integers over a
 positive denominator, always stored reduced, so every operation in the
-package is exact.  Values are immutable (tuple storage) and safe to share
+package is exact.  A matrix holds its entries as Fractions, as rows of
+Python ints over one positive denominator, or both (see `MatrixQ`).  Values
+are immutable (tuple storage); a matrix only caches its other
+representation the first time it is needed, so values are safe to share
 across threads.
 """
 
@@ -10,7 +13,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import mul
+from operator import add, mul, sub
 from typing import Iterable, Sequence
 
 Rat = Fraction
@@ -108,78 +111,94 @@ def ones_vector(n: int) -> VectorQ:
 
 
 class MatrixQ:
-    """Immutable dense matrix of exact rationals, row-major."""
+    """Immutable dense matrix of exact rationals, row-major.
 
-    __slots__ = ("rows", "cols", "_rows")
+    A matrix holds its entries as `Fraction`s, as an integer view (rows of
+    Python ints over one positive denominator), or both.  Matrices built
+    from ints (`from_ints`: products, identities, circulant expansions, BFS
+    distances, row-reduction inverses) build their `Fraction` entries only
+    when something reads them; the others compute the integer view, with
+    the lcm of their denominators, the first time an exact kernel or a
+    comparison needs it.  Either is cached for the life of the matrix.
+    """
+
+    __slots__ = ("rows", "cols", "_q", "_z")  # Fraction rows, (int rows, den): one or both set
 
     def __init__(self, rows: Sequence[Sequence]):
-        self._rows: tuple[tuple[Fraction, ...], ...] = tuple(
+        self._q: tuple[tuple[Fraction, ...], ...] | None = tuple(
             tuple(rat(x) for x in row) for row in rows
         )
-        if not self._rows or not self._rows[0]:
-            raise ShapeError("matrix must have at least one row and one column")
-        self.rows = len(self._rows)
-        self.cols = len(self._rows[0])
-        if any(len(r) != self.cols for r in self._rows):
-            raise ShapeError("ragged rows")
+        self._z: tuple[tuple[tuple[int, ...], ...], int] | None = None
+        self.rows, self.cols = _shape(self._q)
+
+    @classmethod
+    def from_ints(cls, rows: Iterable[Iterable[int]], den: int = 1) -> "MatrixQ":
+        """The matrix rows / den, from rows of Python ints (copied) and a denominator den > 0."""
+        if den < 1:
+            raise ValueError(f"denominator must be a positive int, got {den}")
+        m = cls.__new__(cls)
+        m._q, m._z = None, (tuple(map(tuple, rows)), den)
+        m.rows, m.cols = _shape(m._z[0])
+        return m
 
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
         i, j = ij
-        return self._rows[i][j]
+        return (self._q or _fractions(self))[i][j]
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, MatrixQ) and self._rows == other._rows
+        if not isinstance(other, MatrixQ) or (self.rows, self.cols) != (other.rows, other.cols):
+            return False
+        a, da = _ints(self)
+        b, db = _ints(other)
+        if da == db:
+            return a == b
+        return all([x * db for x in ra] == [y * da for y in rb] for ra, rb in zip(a, b))
 
     def __hash__(self):
-        return hash(self._rows)
+        return hash(self._q or _fractions(self))
 
     def __repr__(self) -> str:
         return f"MatrixQ({self.rows}x{self.cols})"
 
     def row(self, i: int) -> VectorQ:
-        return VectorQ(self._rows[i])
+        return VectorQ((self._q or _fractions(self))[i])
 
     def col(self, j: int) -> VectorQ:
-        return VectorQ(r[j] for r in self._rows)
+        return VectorQ(r[j] for r in self._q or _fractions(self))
 
     def iter_rows(self):
-        return iter(self._rows)
+        return iter(self._q or _fractions(self))
 
     def __add__(self, other: "MatrixQ") -> "MatrixQ":
-        self._same_shape(other)
-        return MatrixQ(
-            [a + b for a, b in zip(ra, rb)] for ra, rb in zip(self._rows, other._rows)
-        )
+        return self._combine(other, add)
 
     def __sub__(self, other: "MatrixQ") -> "MatrixQ":
-        self._same_shape(other)
-        return MatrixQ(
-            [a - b for a, b in zip(ra, rb)] for ra, rb in zip(self._rows, other._rows)
-        )
+        return self._combine(other, sub)
 
     def __neg__(self) -> "MatrixQ":
-        return MatrixQ([-a for a in r] for r in self._rows)
+        return self.scaled(-1)
 
     def __matmul__(self, other: "MatrixQ") -> "MatrixQ":
         return mat_mul(self, other)
 
     def scaled(self, c) -> "MatrixQ":
+        """c times the matrix; on ints when the matrix already has an integer view."""
         c = rat(c)
-        return MatrixQ([c * a for a in r] for r in self._rows)
+        if self._z is not None:
+            a, den = self._z
+            p = c.numerator
+            return MatrixQ.from_ints(([p * x for x in r] for r in a), den * c.denominator)
+        return MatrixQ([c * a for a in r] for r in self._q)
 
     def transpose(self) -> "MatrixQ":
-        return MatrixQ(
-            [self._rows[i][j] for i in range(self.rows)] for j in range(self.cols)
-        )
+        a, den = _ints(self)
+        return MatrixQ.from_ints(zip(*a), den)
 
     def is_symmetric(self) -> bool:
         if self.rows != self.cols:
             return False
-        return all(
-            self._rows[i][j] == self._rows[j][i]
-            for i in range(self.rows)
-            for j in range(i + 1, self.cols)
-        )
+        a, _ = _ints(self)
+        return a == tuple(zip(*a))
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -188,7 +207,7 @@ class MatrixQ:
         """Exact product m v, computed on ints over the two common denominators."""
         if self.cols != len(v):
             raise ShapeError(f"matrix cols {self.cols} != vector length {len(v)}")
-        a, da = int_rows(self)
+        a, da = _ints(self)
         x, dx = int_entries(v)
         den = da * dx
         return VectorQ(Fraction(sum(map(mul, row, x)), den) for row in a)
@@ -197,15 +216,30 @@ class MatrixQ:
         """Rows r0..r1-1 and columns c0..c1-1 (0-indexed, half-open)."""
         if not (0 <= r0 < r1 <= self.rows and 0 <= c0 < c1 <= self.cols):
             raise ShapeError("submatrix range out of bounds")
-        return MatrixQ(row[c0:c1] for row in self._rows[r0:r1])
+        return MatrixQ(row[c0:c1] for row in (self._q or _fractions(self))[r0:r1])
 
     def as_strings(self) -> list[list[str]]:
-        return [[rat_str(x) for x in r] for r in self._rows]
+        return [[rat_str(x) for x in r] for r in self._q or _fractions(self)]
 
     def pretty(self) -> str:
         cells = self.as_strings()
         width = max(len(s) for r in cells for s in r)
         return "\n".join("[" + "  ".join(s.rjust(width) for s in r) + "]" for r in cells)
+
+    def _combine(self, other: "MatrixQ", op) -> "MatrixQ":
+        """Entrywise op: on ints when both operands already have an integer view."""
+        self._same_shape(other)
+        if self._z is not None and other._z is not None:
+            (a, da), (b, db) = self._z, other._z
+            den = math.lcm(da, db)
+            fa, fb = den // da, den // db
+            return MatrixQ.from_ints(
+                ([op(x * fa, y * fb) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)), den
+            )
+        return MatrixQ(
+            [op(x, y) for x, y in zip(ra, rb)]
+            for ra, rb in zip(self._q or _fractions(self), other._q or _fractions(other))
+        )
 
     def _same_shape(self, other: "MatrixQ") -> None:
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -214,17 +248,40 @@ class MatrixQ:
             )
 
 
+def _shape(rows: tuple[tuple, ...]) -> tuple[int, int]:
+    if not rows or not rows[0]:
+        raise ShapeError("matrix must have at least one row and one column")
+    if any(len(r) != len(rows[0]) for r in rows):
+        raise ShapeError("ragged rows")
+    return len(rows), len(rows[0])
+
+
+def _fractions(m: MatrixQ) -> tuple[tuple[Fraction, ...], ...]:
+    """m's Fraction entries, built from its integer view on first use and cached."""
+    a, den = m._z
+    m._q = tuple(tuple(Fraction(x, den) for x in r) for r in a)
+    return m._q
+
+
+def _ints(m: MatrixQ) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """m's integer view (rows, den), computed on first use with den the lcm, and cached."""
+    if m._z is None:
+        den = math.lcm(*{x.denominator for row in m._q for x in row})
+        m._z = tuple(tuple(x.numerator * (den // x.denominator) for x in r) for r in m._q), den
+    return m._z
+
+
 def identity(n: int) -> MatrixQ:
     """The n-by-n identity matrix; n must be a positive integer."""
     if n < 1:
         raise ShapeError(f"invalid dimension {n}; need n >= 1")
-    return MatrixQ([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+    return MatrixQ.from_ints([1 if i == j else 0 for j in range(n)] for i in range(n))
 
 
 def zeros(rows: int, cols: int) -> MatrixQ:
     if rows < 1 or cols < 1:
         raise ShapeError("invalid dimension; need rows, cols >= 1")
-    return MatrixQ([[0] * cols for _ in range(rows)])
+    return MatrixQ.from_ints([0] * cols for _ in range(rows))
 
 
 def jmatrix(rows: int, cols: int | None = None) -> MatrixQ:
@@ -233,7 +290,7 @@ def jmatrix(rows: int, cols: int | None = None) -> MatrixQ:
         cols = rows
     if rows < 1 or cols < 1:
         raise ShapeError("invalid dimension; need rows, cols >= 1")
-    return MatrixQ([[1] * cols for _ in range(rows)])
+    return MatrixQ.from_ints([1] * cols for _ in range(rows))
 
 
 def int_entries(v: VectorQ) -> tuple[list[int], int]:
@@ -243,24 +300,25 @@ def int_entries(v: VectorQ) -> tuple[list[int], int]:
 
 
 def int_rows(m: MatrixQ) -> tuple[list[list[int]], int]:
-    """m over one common denominator: (rows, den) with m == rows / den.
+    """m over one positive common denominator: (rows, den) with m == rows / den.
 
-    den is the lcm of the entries' denominators and rows are fresh lists of
-    Python ints, so exact kernels can run without any Fraction arithmetic.
+    rows are fresh lists of Python ints, which the caller may change, so
+    exact kernels can run without any Fraction arithmetic.  den is the lcm
+    of the entries' denominators unless m was built from ints, in which case
+    it is the denominator it was built with.
     """
-    den = math.lcm(*{x.denominator for row in m.iter_rows() for x in row})
-    return [[x.numerator * (den // x.denominator) for x in row] for row in m.iter_rows()], den
+    a, den = _ints(m)
+    return [list(r) for r in a], den
 
 
 def mat_mul(a: MatrixQ, b: MatrixQ) -> MatrixQ:
     """Exact matrix product, computed on ints over the two common denominators."""
     if a.cols != b.rows:
         raise ShapeError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    a_int, da = int_rows(a)
-    b_int, db = int_rows(b)
-    den = da * db
+    a_int, da = _ints(a)
+    b_int, db = _ints(b)
     bt = list(zip(*b_int))  # column tuples of b
-    return MatrixQ([Fraction(sum(map(mul, row, col)), den) for col in bt] for row in a_int)
+    return MatrixQ.from_ints(([sum(map(mul, row, col)) for col in bt] for row in a_int), da * db)
 
 
 def block_compose(tl: MatrixQ, tr: MatrixQ, bl: MatrixQ, br: MatrixQ) -> MatrixQ:

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import math
+from collections import deque
 from fractions import Fraction
 
 from wheelecc.circulant import CirculantQ, to_dense
+from wheelecc.graphs import Graph
 from wheelecc.ratq import MatrixQ, VectorQ
 
 
@@ -202,9 +204,12 @@ def ref_inertia_exact(m: MatrixQ) -> tuple[tuple[int, int, int], tuple[str, ...]
 # only: a fraction-free Gauss-Jordan sweep that also clears above each pivot.
 
 
-def _ref_gauss_jordan(m: MatrixQ):
+def _ref_gauss_jordan(m: MatrixQ, augment: bool = False):
     den = math.lcm(*{x.denominator for row in m.iter_rows() for x in row})
     a = [[x.numerator * (den // x.denominator) for x in row] for row in m.iter_rows()]
+    if augment:
+        for i, row in enumerate(a):
+            row.extend(1 if j == i else 0 for j in range(m.rows))
     sign = 1
     prev = 1
     r = 0
@@ -225,12 +230,12 @@ def _ref_gauss_jordan(m: MatrixQ):
                 a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], row_r)]
         prev = p
         r += 1
-    return den, sign, r, prev
+    return a, den, sign, r, prev
 
 
 def ref_gauss_jordan_det(m: MatrixQ) -> Fraction:
     """Determinant: sign * last Gauss-Jordan pivot / den^n at full rank, else 0."""
-    den, sign, rank, pivot = _ref_gauss_jordan(m)
+    _, den, sign, rank, pivot = _ref_gauss_jordan(m)
     if rank < m.rows:
         return Fraction(0)
     return Fraction(sign * pivot, den**m.rows)
@@ -238,7 +243,22 @@ def ref_gauss_jordan_det(m: MatrixQ) -> Fraction:
 
 def ref_gauss_jordan_rank(m: MatrixQ) -> int:
     """Rank: the number of Gauss-Jordan pivots."""
-    return _ref_gauss_jordan(m)[2]
+    return _ref_gauss_jordan(m)[3]
+
+
+def ref_gauss_jordan_eliminate(m: MatrixQ) -> tuple[Fraction, int, MatrixQ | None]:
+    """det, rank and inverse (None when singular) of a square m.
+
+    `oracle.eliminate` as it was before it ran the forward pass only: one
+    fraction-free Gauss-Jordan sweep of [m | I], also when m is singular,
+    with the inverse read off the right block as Fractions.
+    """
+    n = m.rows
+    a, den, sign, rank, pivot = _ref_gauss_jordan(m, augment=True)
+    if rank < n:
+        return Fraction(0), rank, None
+    inverse = MatrixQ([Fraction(den * x, pivot) for x in row[n:]] for row in a)
+    return Fraction(sign * pivot, den**n), rank, inverse
 
 
 # --- Fraction vector kernels -------------------------------------------------------
@@ -262,3 +282,32 @@ def ref_circ_mul(x: CirculantQ, y: CirculantQ) -> CirculantQ:
         for j in range(y.order)
     ]
     return CirculantQ(VectorQ(row))
+
+
+# --- Fraction eccentricity matrix ---------------------------------------------------
+# `graphs.bfs_distances` and `graphs.eccentricity_matrix_definitional` as they
+# were before they returned int-backed matrices: distances and eccentricities
+# as Fraction entries.
+
+
+def ref_eccentricity_matrix(g: Graph) -> MatrixQ:
+    """BFS distances of a connected graph, then min(ecc(i), ecc(j)) entries kept, on Fractions."""
+    n = g.vertex_count
+    rows = []
+    for s in range(n):
+        dist = [-1] * n
+        dist[s] = 0
+        queue = deque([s])
+        while queue:
+            v = queue.popleft()
+            for w in g.adjacency[v]:
+                if dist[w] < 0:
+                    dist[w] = dist[v] + 1
+                    queue.append(w)
+        rows.append(dist)
+    d = MatrixQ(rows)
+    ecc = [max(d.row(i)) for i in range(n)]
+    return MatrixQ(
+        [d[i, j] if i != j and d[i, j] == min(ecc[i], ecc[j]) else Fraction(0) for j in range(n)]
+        for i in range(n)
+    )

@@ -256,6 +256,76 @@ def test_verify_stdout_identity_under_optimize():
     assert hashlib.sha256(done.stdout).hexdigest() == VERIFY_JSON_SHA256[42]
 
 
+# sha256 of the stdout of `gen <obj> n` in json, csv and pretty, concatenated
+# in that order, for every object that applies at n = 25, 26, 27; recorded
+# while identity, zeros, jmatrix and to_dense still built Fraction entries.
+GEN_SHA256 = {
+    ("E", 25): "2cc54391e62a353b460df3c9b870518ac1396774313e43e0b531ec7a4b0c843e",
+    ("E_minus_edge", 25): "f442e6b5bb4819bcf3507aca9fcdb24a5d558e4fa09cd77a68a34086c1103f9a",
+    ("Lhat", 25): "34161f3a29e5c6a53ec14beee302c1168ed381fd7c66ac8b63d6d0f56f3507bf",
+    ("pinv", 25): "6cd7f2c6b18d5b3f8eab231710f4dd938f572d8a12a4468efc9320ac7a2ada72",
+    ("w", 25): "924663793f44e5ee136073de125cadfba03032dc533e7971aa1bbdf838fbaa31",
+    ("nullvecs", 25): "ff649939094e6c9513da175e6624520388417da981bba54bacf2f8c9925fb161",
+    ("quotient", 25): "06a566cafa6bae095514e9ccd661a1ba4c86a042b63a3d6716b68984e4224e85",
+    ("E", 26): "d98f804ea5140292503d28331db5d900df72448b5b6077c9c668ae18fbf6be1d",
+    ("E_minus_edge", 26): "2065b62b805b62e6641970af411c1ab1207b59025bd3283b007979a80562175b",
+    ("Ltilde", 26): "dd3e395709c0993490f9f032b450dd2b104997f8e6a2a760220068dcafdb44fb",
+    ("inverse", 26): "4bce35264ad410453eb0b5e15ea92fbb8e58762c53b262523016576e062e40dd",
+    ("w", 26): "f02291f0e54af1aa8b7539a4c52eabb3154de73c10bc374a4d70132c08597ce6",
+    ("quotient", 26): "38eb66eba534e67a26ce7b4311945dd4fb958807e1181b9595cd902431a31fef",
+    ("E", 27): "531fc5ab474458a1eeba00ec159993f3da5c026b2c324f80c4ba25124bfcd0fd",
+    ("E_minus_edge", 27): "25adeb8b909f7367549a66e9c2dc288c5e2bf5589d4153296254b1b4e0312955",
+    ("Ltilde", 27): "1c5d9a2e89b40c9cefb5295941ef13dff4c1400e1afd2329f82ea989384a5897",
+    ("inverse", 27): "c9f8be246e3af8b3126ed69fceab82a4734e5c259d3af0fe2cf86a3ef43c4adf",
+    ("w", 27): "cfaf07012c1cefc224e3f16267ddfb5be0f778b34b98f584d7096249bb85bb7f",
+    ("quotient", 27): "3014d5b916e6acc7b122acd44b6f54038fd653edf27e4c545cbdf66e95ce9ff6",
+}
+
+
+@pytest.mark.parametrize("obj, n", sorted(GEN_SHA256))
+def test_gen_stdout_identity(capsys, obj, n):
+    text = ""
+    for fmt in ("json", "csv", "pretty"):
+        code, out, _ = run_main(capsys, ["gen", obj, str(n), "--format", fmt])
+        assert code == 0
+        text += out
+    assert hashlib.sha256(text.encode()).hexdigest() == GEN_SHA256[obj, n]
+
+
+def test_gen_stdout_identity_covers_every_applicable_object(capsys):
+    for n in (25, 26, 27):
+        for obj in cli.GEN_OBJECTS:
+            if (obj, n) not in GEN_SHA256:
+                code, out, _ = run_main(capsys, ["gen", obj, str(n), "--format", "json"])
+                assert (code, out) == (2, "")
+
+
+@pytest.mark.parametrize("argv", [["gen", "E", "201"], ["verify", "201"], ["sweep", "200", "201"]])
+def test_n_guardrail_applies_to_every_verb(monkeypatch, capsys, argv):
+    built = []
+
+    def fake_run_checks(n, tol):
+        built.append(n)
+        return checks.VerificationReport(n, (CheckResult("stub", "pass", "", "", 0.0),))
+
+    def fake_gen_value(obj, n):
+        built.append(n)
+        return VectorQ([n])
+
+    monkeypatch.setattr(cli, "run_checks", fake_run_checks)
+    monkeypatch.setattr(cli, "_gen_value", fake_gen_value)
+    code, out, err = run_main(capsys, argv)
+    what = "n_max" if argv[0] == "sweep" else "n"
+    assert (code, out, built) == (2, "", [])
+    assert err == (
+        f"error: {what} = 201 exceeds the dense-exact guardrail {cli.MAX_N}; "
+        "pass --max-n-override to proceed\n"
+    )
+    code, out, err = run_main(capsys, argv + ["--max-n-override"])
+    assert code == 0 and out
+    assert built == ([200, 201] if argv[0] == "sweep" else [201])
+
+
 @pytest.mark.parametrize("verb", [["verify", "6"], ["sweep", "5", "6"]])
 @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1", "abc"])
 def test_tol_must_be_finite_and_positive(capsys, verb, tol):

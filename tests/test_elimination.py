@@ -1,10 +1,11 @@
 """Differential tests: the fraction-free elimination core against slower exact routes.
 
 `bareiss_det` and `rank_exact` read their answer off the forward pass of one
-integer elimination, `inverse_exact` and `eliminate` off its Gauss-Jordan
-form.  Each is compared with the Fraction row reductions and the Gauss-Jordan
-determinant and rank kept in `helpers` and, where sympy is installed, with
-sympy.
+integer elimination, `inverse_exact` and `eliminate` off the forward pass of
+[m | I] and, at full rank, a fraction-free back substitution.  Each is
+compared with the Fraction row reductions and the Gauss-Jordan determinant,
+rank and elimination of [m | I] kept in `helpers` and, where sympy is
+installed, with sympy.
 """
 
 import random
@@ -16,6 +17,7 @@ from helpers import (
     rand_fraction,
     ref_bareiss_det,
     ref_gauss_jordan_det,
+    ref_gauss_jordan_eliminate,
     ref_gauss_jordan_rank,
     ref_inverse_exact,
     ref_rank_exact,
@@ -102,9 +104,9 @@ def test_forward_pass_matches_gauss_jordan_random():
         assert rank_exact(m) == ref_gauss_jordan_rank(m)
         if m.rows == m.cols:
             assert bareiss_det(m) == ref_gauss_jordan_det(m)
-            assert eliminate(m) == Elimination(
-                ref_bareiss_det(m), ref_rank_exact(m), ref_inverse_exact(m)
-            )
+            elim = eliminate(m)
+            assert elim == Elimination(ref_bareiss_det(m), ref_rank_exact(m), ref_inverse_exact(m))
+            assert (elim.det, elim.rank, elim.inverse) == ref_gauss_jordan_eliminate(m)
         else:
             with pytest.raises(ShapeError):
                 eliminate(m)
@@ -164,6 +166,7 @@ def test_eliminate_matches_separate_oracle_calls_on_E(n):
     assert elim.rank == rank_exact(e)
     assert elim.inverse == _oracle_inverse(e)
     assert (elim.inverse is None) == (n % 3 == 1)
+    assert (elim.det, elim.rank, elim.inverse) == ref_gauss_jordan_eliminate(e)
 
 
 def _from_sympy(x) -> Fraction:

@@ -4,7 +4,10 @@
 the operands' common denominators, and `inertia_exact` runs a fraction-free
 symmetric congruence.  All are compared with the Fraction versions kept in
 `helpers`, inertia pivot log and all, and inertia also with sympy's
-characteristic polynomial where sympy is installed.
+characteristic polynomial where sympy is installed.  Int-backed matrices
+(`MatrixQ.from_ints`) are compared with Fraction-backed copies of the same
+values, and the int-backed definitional eccentricity matrices with their
+Fraction construction.
 """
 
 import random
@@ -16,14 +19,21 @@ from helpers import (
     rand_fraction,
     ref_circ_mul,
     ref_dot,
+    ref_eccentricity_matrix,
     ref_inertia_exact,
     ref_mat_mul,
     ref_mul_vec,
 )
 from wheelecc import closedform as cf
 from wheelecc.circulant import CirculantQ, circ_mul
+from wheelecc.graphs import (
+    bfs_distances,
+    build_wheel,
+    delete_cycle_edge,
+    eccentricity_matrix_definitional,
+)
 from wheelecc.oracle import PIVOT_HYPERBOLIC, PIVOT_ZERO, inertia_exact
-from wheelecc.ratq import MatrixQ, ShapeError, VectorQ, int_entries, int_rows, mat_mul
+from wheelecc.ratq import MatrixQ, ShapeError, VectorQ, int_entries, int_rows, mat_mul, rat_str
 
 DENOMINATORS = (1, 2, 3, 4, 6, 7, 12)
 
@@ -42,6 +52,106 @@ def test_int_rows_is_exact_scaling():
     assert rows == [[6, -8], [0, 15]]
     assert MatrixQ([[Fraction(x, den) for x in row] for row in rows]) == m
     assert int_rows(MatrixQ([[3, -1]])) == ([[3, -1]], 1)
+
+
+def _backings(m: MatrixQ, k: int) -> list[MatrixQ]:
+    """m's values three ways: Fraction-backed, int-backed over the lcm, int-backed over k * lcm."""
+    rows, den = int_rows(m)
+    return [
+        MatrixQ(list(m.iter_rows())),
+        MatrixQ.from_ints(rows, den),
+        MatrixQ.from_ints([[k * x for x in r] for r in rows], k * den),
+    ]
+
+
+def _fraction_rows(m: MatrixQ) -> list[list[Fraction]]:
+    return [list(r) for r in m.iter_rows()]
+
+
+def test_int_backed_matches_fraction_backed_random():
+    rng = random.Random(20261018)
+    for _ in range(1200):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        max_den = rng.choice(DENOMINATORS)
+        density = rng.choice((1.0, 0.5, 0.1))
+        a_vals = _rand_rows(rng, rows, cols, max_den, density)
+        b_vals = _rand_rows(rng, rows, cols, rng.choice(DENOMINATORS), density)
+        a_all = _backings(MatrixQ(a_vals), rng.randint(2, 5))
+        b_all = _backings(MatrixQ(b_vals), rng.randint(2, 5))
+        i, j = rng.randrange(rows), rng.randrange(cols)
+        bumped = [list(r) for r in a_vals]
+        bumped[i][j] += Fraction(rng.choice((-1, 1)), rng.choice(DENOMINATORS))
+        bumped_all = _backings(MatrixQ(bumped), rng.randint(2, 5))
+        c = rand_fraction(rng, max_den=rng.choice(DENOMINATORS))
+        ref_t = [list(col) for col in zip(*a_vals)]
+        for a in a_all:
+            for a2 in a_all:
+                assert a == a2 and hash(a) == hash(a2)
+            for x in bumped_all:
+                assert a != x and x != a
+            if rows != cols:
+                assert a != MatrixQ(ref_t) and a != a.transpose()
+            assert a != MatrixQ(a_vals + [a_vals[0]]) and a != "matrix"
+            assert a.as_strings() == [[rat_str(x) for x in r] for r in a_vals]
+            assert _fraction_rows(a) == a_vals
+            assert _fraction_rows(a.transpose()) == ref_t
+            assert _fraction_rows(a.scaled(c)) == [[c * x for x in r] for r in a_vals]
+            assert _fraction_rows(-a) == [[-x for x in r] for r in a_vals]
+            pairs = [list(zip(r, q)) for r, q in zip(a_vals, b_vals)]
+            for b in b_all:
+                assert _fraction_rows(a + b) == [[x + y for x, y in r] for r in pairs]
+                assert _fraction_rows(a - b) == [[x - y for x, y in r] for r in pairs]
+
+
+def test_is_symmetric_agrees_across_backings_random():
+    rng = random.Random(20261019)
+    for t in range(600):
+        m = _random_symmetric(rng, t)
+        vals = _fraction_rows(m)
+        n = len(vals)
+        if n > 1 and t % 2:
+            i, j = rng.sample(range(n), 2)
+            vals[i][j] += Fraction(1, rng.choice(DENOMINATORS))
+        want = all(vals[i][j] == vals[j][i] for i in range(n) for j in range(n))
+        for a in _backings(MatrixQ(vals), rng.randint(2, 5)):
+            assert a.is_symmetric() == want
+    assert not MatrixQ.from_ints([[1, 2, 3], [2, 1, 3]]).is_symmetric()
+
+
+def test_int_rows_returns_fresh_lists():
+    for m in (
+        MatrixQ.from_ints([[1, 2], [3, 4]], 6),
+        MatrixQ([[Fraction(1, 6), Fraction(1, 3)], [Fraction(1, 2), Fraction(2, 3)]]),
+    ):
+        rows, den = int_rows(m)
+        rows[0][0] = 99
+        rows.append([0, 0])
+        again, den_again = int_rows(m)
+        assert again == [[1, 2], [3, 4]] and den_again == den == 6
+        assert again is not rows and again[1] is not rows[1]
+        assert m == MatrixQ([[Fraction(1, 6), Fraction(1, 3)], [Fraction(1, 2), Fraction(2, 3)]])
+        assert mat_mul(m, MatrixQ.from_ints([[6], [0]])) == MatrixQ([[1], [3]])
+
+
+def test_from_ints_validates_its_input():
+    assert MatrixQ.from_ints([[2, -4]], 4) == MatrixQ([[Fraction(1, 2), -1]])
+    assert MatrixQ.from_ints(([x, x + 1] for x in range(2))) == MatrixQ([[0, 1], [1, 2]])
+    for den in (0, -3):
+        with pytest.raises(ValueError):
+            MatrixQ.from_ints([[1]], den)
+    for rows in ([], [[]], [[1, 2], [3]]):
+        with pytest.raises(ShapeError):
+            MatrixQ.from_ints(rows)
+
+
+@pytest.mark.parametrize("n", range(5, 41))
+def test_definitional_ecc_matrices_match_fraction_construction(n):
+    wheel = build_wheel(n)
+    for g in (wheel, delete_cycle_edge(wheel)):
+        e_def = eccentricity_matrix_definitional(bfs_distances(g))
+        ref = ref_eccentricity_matrix(g)
+        assert e_def == ref and ref == e_def
+        assert e_def.as_strings() == ref.as_strings()
 
 
 def test_mat_mul_matches_fraction_product_random():
