@@ -10,7 +10,6 @@ from .checks import VerificationReport, run_checks
 from .circulant import (
     CirculantQ,
     ResidueClassError,
-    TridiagSpec,
     basis_c,
     circ_mul,
     is_symmetric_in_last_coords,
@@ -23,7 +22,6 @@ from .circulant import (
     tridiagonal,
 )
 from .closedform import (
-    InertiaTriple,
     SpectralRadiusResult,
     bordered_B,
     det_B_closed,
@@ -50,7 +48,6 @@ from .closedform import (
 from .graphs import (
     Graph,
     GraphError,
-    WheelSpec,
     bfs_distances,
     build_wheel,
     delete_cycle_edge,
@@ -60,10 +57,8 @@ from .graphs import (
 from .oracle import (
     CongruenceReport,
     PowerIterationError,
-    SingularMatrixError,
     bareiss_det,
     inertia_exact,
-    inverse_exact,
     is_irreducible,
     penrose_check,
     power_iteration_rho,
@@ -71,8 +66,8 @@ from .oracle import (
     rank_exact,
 )
 from .ratq import (
+    InertiaTriple,
     MatrixQ,
-    Rat,
     ShapeError,
     VectorQ,
     block_compose,

@@ -21,7 +21,6 @@ from . import graphs
 from . import oracle
 from .circulant import (
     CirculantQ,
-    TridiagSpec,
     circ_mul,
     combination_x,
     combination_y,
@@ -115,13 +114,8 @@ class VerifyContext:
         return cf.weight_w(self.n)
 
     @cached_property
-    def inv(self) -> MatrixQ:
-        """The inverse formula, from the cached Ltilde and w (n % 3 != 1)."""
-        return cf.inverse_formula(self.L, self.w)
-
-    @cached_property
-    def pinv(self) -> MatrixQ:
-        """The pseudoinverse formula, from the cached Lhat and w (n % 3 == 1)."""
+    def X(self) -> MatrixQ:
+        """-(1/2) L + (6/(n-1)) w w': E's inverse, or its pseudoinverse when n % 3 == 1."""
         return cf.inverse_formula(self.L, self.w)
 
     @cached_property
@@ -162,16 +156,15 @@ def _scalar(expected: Fraction, actual: Fraction) -> tuple[str, str, bool]:
 def _mat_eq(expected: MatrixQ, actual: MatrixQ) -> tuple[str, str, bool]:
     if expected == actual:
         return "exact matrix equality", "holds", True
-    for i in range(expected.rows):
-        for j in range(expected.cols):
-            if expected[i, j] != actual[i, j]:
-                return (
-                    "exact matrix equality",
-                    f"differs at ({i},{j}): expected {rat_str(expected[i, j])}, "
-                    f"got {rat_str(actual[i, j])}",
-                    False,
-                )
-    return "exact matrix equality", "shape mismatch", False
+    if (expected.rows, expected.cols) != (actual.rows, actual.cols):
+        shapes = f"expected {expected.rows}x{expected.cols}, got {actual.rows}x{actual.cols}"
+        return "exact matrix equality", f"shape mismatch: {shapes}", False
+    i, j = next(
+        (i, j) for i in range(expected.rows) for j in range(expected.cols)
+        if expected[i, j] != actual[i, j]
+    )
+    entries = f"expected {rat_str(expected[i, j])}, got {rat_str(actual[i, j])}"
+    return "exact matrix equality", f"differs at ({i},{j}): {entries}", False
 
 
 def _tf(b: bool) -> str:
@@ -196,13 +189,13 @@ def _chk_ecc_minus_edge(ctx):
 def _chk_det_tridiag_generic(ctx):
     n = ctx.n
     closed = cf.det_tridiagonal_closed(n, 3, 2, 1)
-    dense = tridiagonal(TridiagSpec(n, 3, 2, 1))
+    dense = tridiagonal(n, 3, 2, 1)
     return _scalar(closed, oracle.bareiss_det(dense))
 
 
 def _chk_det_T(ctx):
     n = ctx.n
-    dense = tridiagonal(TridiagSpec(n, -2, -2, -2))
+    dense = tridiagonal(n, -2, -2, -2)
     return _scalar(cf.det_T_closed(n), oracle.bareiss_det(dense))
 
 
@@ -372,8 +365,8 @@ def _chk_LE_identity(ctx):
 
 def _chk_inverse(ctx):
     n = ctx.n
-    ok = mat_mul(ctx.E, ctx.inv) == identity(n) and mat_mul(ctx.inv, ctx.E) == identity(n)
-    ok = ok and ctx.inv == ctx.E_elim.inverse
+    ok = mat_mul(ctx.E, ctx.X) == identity(n) and mat_mul(ctx.X, ctx.E) == identity(n)
+    ok = ok and ctx.X == ctx.E_elim.inverse
     return "E X = X E = I and X matches row-reduction inverse", "holds" if ok else "violated", ok
 
 
@@ -430,7 +423,7 @@ def _chk_LhatE(ctx):
 
 
 def _chk_pinv(ctx):
-    conds = oracle.penrose_check(ctx.E, ctx.pinv)
+    conds = oracle.penrose_check(ctx.E, ctx.X)
     return (
         "all four Moore-Penrose conditions",
         "/".join("ok" if c else "FAIL" for c in conds),
@@ -440,7 +433,7 @@ def _chk_pinv(ctx):
 
 def _chk_pinv_XE(ctx):
     n = ctx.n
-    lhs = mat_mul(ctx.pinv, ctx.E)
+    lhs = mat_mul(ctx.X, ctx.E)
     v, dv = int_rows(to_dense(CirculantQ(VectorQ([2, -1, -1] * ((n - 1) // 3)))))
     # I - blockdiag(0, V / (n-1)), over the denominator d
     d = dv * (n - 1)

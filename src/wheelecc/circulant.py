@@ -33,23 +33,6 @@ class CirculantQ:
         return CirculantQ(self.first_row.scaled(c))
 
 
-@dataclass(frozen=True)
-class TridiagSpec:
-    """Constant tridiagonal matrix: a on the diagonal, b above, c below."""
-
-    order: int
-    a: Fraction
-    b: Fraction
-    c: Fraction
-
-    def __post_init__(self):
-        if self.order < 1:
-            raise ShapeError(f"tridiagonal order must be >= 1, got {self.order}")
-        object.__setattr__(self, "a", rat(self.a))
-        object.__setattr__(self, "b", rat(self.b))
-        object.__setattr__(self, "c", rat(self.c))
-
-
 def shift_T(v: VectorQ, k: int = 1) -> VectorQ:
     """Cyclic right shift applied k times: (f1,..,fm) -> (fm,f1,..,f(m-1)) once."""
     if k < 0:
@@ -89,7 +72,7 @@ def circ_mul(x: CirculantQ, y: CirculantQ) -> CirculantQ:
     return CirculantQ(VectorQ(Fraction(sum(map(mul, xs, yy[j + m:j:-1])), den) for j in range(m)))
 
 
-def first_column(c: CirculantQ) -> VectorQ:
+def _first_column(c: CirculantQ) -> VectorQ:
     """Column 1 of the dense expansion: (c1, cm, c(m-1), ..., c2)."""
     e = c.first_row.entries
     return VectorQ((e[0],) + tuple(reversed(e[1:])))
@@ -109,7 +92,7 @@ def period3_row_product(g: VectorQ, c: CirculantQ) -> tuple[Fraction, Fraction, 
         raise ValueError(f"order must be divisible by 3, got {m}")
     if any(g[i] != g[i % 3] for i in range(m)):
         raise ValueError("vector does not repeat with period 3")
-    col1 = first_column(c)
+    col1 = _first_column(c)
     tau1 = g.dot(col1)
     tau2 = shift_T(g, 2).dot(col1)
     tau3 = shift_T(g, 1).dot(col1)
@@ -124,7 +107,7 @@ def is_symmetric_in_last_coords(x: VectorQ) -> bool:
     return all(x[i] == x[m - i] for i in range(1, m))
 
 
-def basis_e(i: int, length: int) -> VectorQ:
+def _basis_e(i: int, length: int) -> VectorQ:
     """Standard basis vector, 1-indexed position i, of the given length."""
     if not 1 <= i <= length:
         raise ShapeError(f"position {i} outside 1..{length}")
@@ -158,7 +141,7 @@ def _combine(length: int, terms) -> VectorQ:
 def combination_x(n: int) -> VectorQ:
     """Linear-combination form of the n % 3 == 2 defining vector."""
     if n % 2 == 0:
-        terms = [(2 - n, basis_e(1, n - 1))]
+        terms = [(2 - n, _basis_e(1, n - 1))]
         for k in range(1, (n - 2) // 6 + 1):
             terms += [
                 (1, basis_c(3 * k - 2, n)),
@@ -166,32 +149,32 @@ def combination_x(n: int) -> VectorQ:
                 (1, basis_c(3 * k, n)),
             ]
     else:
-        terms = [(2 - n, basis_e(1, n - 1))]
+        terms = [(2 - n, _basis_e(1, n - 1))]
         for k in range(1, (n - 5) // 6 + 1):
             terms += [(1, basis_c(3 * k, n)), (-2, basis_c(3 * k - 1, n))]
         for k in range(1, (n + 1) // 6 + 1):
             terms.append((1, basis_c(3 * k - 2, n)))
-        terms.append((-2, basis_e((n + 1) // 2, n - 1)))
+        terms.append((-2, _basis_e((n + 1) // 2, n - 1)))
     return _combine(n - 1, terms)
 
 
 def combination_y(n: int) -> VectorQ:
     """Linear-combination form of the n % 3 == 0 defining vector."""
     if n % 2 == 0:
-        terms = [(-n, basis_e(1, n - 1))]
+        terms = [(-n, _basis_e(1, n - 1))]
         for k in range(1, n // 6 + 1):
             terms += [(2, basis_c(3 * k - 2, n)), (-1, basis_c(3 * k - 1, n))]
         for k in range(1, n // 6):
             terms.append((-1, basis_c(3 * k, n)))
     else:
-        terms = [(-n, basis_e(1, n - 1))]
+        terms = [(-n, _basis_e(1, n - 1))]
         for k in range(1, (n - 3) // 6 + 1):
             terms += [
                 (2, basis_c(3 * k - 2, n)),
                 (-1, basis_c(3 * k - 1, n)),
                 (-1, basis_c(3 * k, n)),
             ]
-        terms.append((2, basis_e((n + 1) // 2, n - 1)))
+        terms.append((2, _basis_e((n + 1) // 2, n - 1)))
     return _combine(n - 1, terms)
 
 
@@ -227,7 +210,7 @@ def special_z(n: int) -> VectorQ:
     if n % 3 != 1 or n < 7:
         raise ResidueClassError(f"this vector needs n % 3 == 1 and n >= 7, got n = {n}")
     if n % 2 == 0:
-        terms = [(2 * n - n * n, basis_e(1, n - 1))]
+        terms = [(2 * n - n * n, _basis_e(1, n - 1))]
         for k in range(1, (n - 4) // 6 + 1):
             terms += [
                 (Fraction(3 * n - 18 * k + 8, 2), basis_c(3 * k - 2, n)),
@@ -236,7 +219,7 @@ def special_z(n: int) -> VectorQ:
             ]
         terms.append((1, basis_c(n // 2 - 1, n)))
     else:
-        terms = [(2 * n - n * n, basis_e(1, n - 1))]
+        terms = [(2 * n - n * n, _basis_e(1, n - 1))]
         for k in range(1, (n - 1) // 6 + 1):
             terms += [
                 (Fraction(3 * n - 18 * k + 8, 2), basis_c(3 * k - 2, n)),
@@ -244,17 +227,16 @@ def special_z(n: int) -> VectorQ:
             ]
         for k in range(1, (n - 7) // 6 + 1):
             terms.append((1, basis_c(3 * k, n)))
-        terms.append((1, basis_e((n + 1) // 2, n - 1)))
+        terms.append((1, _basis_e((n + 1) // 2, n - 1)))
     return _combine(n - 1, terms)
 
 
-def tridiagonal(spec: TridiagSpec) -> MatrixQ:
-    """Dense constant-tridiagonal matrix from its spec."""
-    m = spec.order
+def tridiagonal(order: int, a, b, c) -> MatrixQ:
+    """Dense constant-tridiagonal matrix: a on the diagonal, b above it, c below it."""
+    if order < 1:
+        raise ShapeError(f"tridiagonal order must be >= 1, got {order}")
+    a, b, c, zero = rat(a), rat(b), rat(c), Fraction(0)
     return MatrixQ(
-        [
-            spec.a if i == j else spec.b if j == i + 1 else spec.c if j == i - 1 else Fraction(0)
-            for j in range(m)
-        ]
-        for i in range(m)
+        [a if i == j else b if j == i + 1 else c if j == i - 1 else zero for j in range(order)]
+        for i in range(order)
     )

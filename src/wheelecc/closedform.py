@@ -16,7 +16,6 @@ from fractions import Fraction
 from .circulant import (
     CirculantQ,
     ResidueClassError,
-    TridiagSpec,
     special_x,
     special_y,
     special_z,
@@ -24,6 +23,7 @@ from .circulant import (
     tridiagonal,
 )
 from .ratq import (
+    InertiaTriple,
     MatrixQ,
     VectorQ,
     block_compose,
@@ -33,26 +33,6 @@ from .ratq import (
     rat,
     zeros,
 )
-
-
-@dataclass(frozen=True)
-class InertiaTriple:
-    """Counts of positive, negative and zero eigenvalues of a symmetric matrix."""
-
-    n_plus: int
-    n_minus: int
-    n_zero: int
-
-    @property
-    def order(self) -> int:
-        return self.n_plus + self.n_minus + self.n_zero
-
-    @property
-    def rank(self) -> int:
-        return self.n_plus + self.n_minus
-
-    def as_tuple(self) -> tuple[int, int, int]:
-        return (self.n_plus, self.n_minus, self.n_zero)
 
 
 @dataclass(frozen=True)
@@ -116,7 +96,7 @@ def ecc_matrix_wheel_minus_edge(n: int) -> MatrixQ:
     wrap-around: the lower block becomes 2J - tridiagonal(2,2,2) of order n-1.
     """
     _require(n)
-    block = jmatrix(n - 1).scaled(2) - tridiagonal(TridiagSpec(n - 1, 2, 2, 2))
+    block = jmatrix(n - 1).scaled(2) - tridiagonal(n - 1, 2, 2, 2)
     return _bordered(block)
 
 
@@ -124,7 +104,7 @@ def bordered_B(n: int) -> MatrixQ:
     """Bordered tridiagonal matrix [[0, e'], [e, T_{n-1}(-2,-2,-2)]] of order n."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    return _bordered(tridiagonal(TridiagSpec(n - 1, -2, -2, -2)))
+    return _bordered(tridiagonal(n - 1, -2, -2, -2))
 
 
 def _perfect_square_root(x: Fraction):

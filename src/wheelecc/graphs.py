@@ -20,27 +20,11 @@ class GraphError(ValueError):
 
 
 @dataclass(frozen=True)
-class WheelSpec:
-    """The single wheel parameter n, validated."""
-
-    n: int
-
-    @classmethod
-    def of(cls, n: int) -> "WheelSpec":
-        if n < 4:
-            raise GraphError(f"wheel graphs need n >= 4, got {n}")
-        return cls(n=n)
-
-
-@dataclass(frozen=True)
 class Graph:
     """Undirected graph as sorted neighbor tuples; no self-loops."""
 
     vertex_count: int
     adjacency: tuple[tuple[int, ...], ...]
-
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
 
     def degrees(self) -> tuple[int, ...]:
         return tuple(len(a) for a in self.adjacency)
@@ -61,7 +45,8 @@ def _graph_from_edges(n: int, edges) -> Graph:
 
 def build_wheel(n: int) -> Graph:
     """Hub vertex 0 adjacent to all others; vertices 1..n-1 form a cycle in order."""
-    WheelSpec.of(n)
+    if n < 4:
+        raise GraphError(f"wheel graphs need n >= 4, got {n}")
     edges = [(0, i) for i in range(1, n)]
     edges += [(i, i + 1) for i in range(1, n - 1)]
     edges.append((1, n - 1))

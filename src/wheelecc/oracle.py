@@ -5,7 +5,8 @@ from the forward pass of one fraction-free elimination and inverses from a
 fraction-free back substitution after it, inertia from fraction-free
 symmetric congruence pivoting, the spectral radius from floating-point power
 iteration, and irreducibility from strong connectivity of the support
-digraph.  These are the second route of every dual-route check.
+digraph.  These are the second route of every dual-route check; the only
+package module imported here is `ratq` (tests/test_layering.py holds that).
 """
 
 from __future__ import annotations
@@ -13,18 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .circulant import CirculantQ, to_dense
-from .closedform import InertiaTriple
-from .ratq import MatrixQ, ShapeError, VectorQ, identity, int_entries, int_rows, mat_mul
+from .ratq import InertiaTriple, MatrixQ, ShapeError, identity, int_rows, mat_mul
 
 PIVOT_POS = "pos"
 PIVOT_NEG = "neg"
 PIVOT_HYPERBOLIC = "hyperbolic"
 PIVOT_ZERO = "zero"
-
-
-class SingularMatrixError(ValueError):
-    """Inversion was requested for an exactly singular matrix."""
 
 
 class PowerIterationError(RuntimeError):
@@ -140,11 +135,11 @@ class Elimination:
 def eliminate(m: MatrixQ) -> Elimination:
     """One forward elimination of [m | I], read three ways.
 
-    Gives the same det, rank and inverse as `bareiss_det`, `rank_exact` and
-    `inverse_exact`, for callers that need all three of one matrix.  Only at
-    full rank does a fraction-free back substitution follow; the inverse is
+    Gives the same det and rank as `bareiss_det` and `rank_exact`, and is
+    the package's one route to an exact inverse.  Only at full rank does a
+    fraction-free back substitution follow; the inverse is
     den * (d * A^-1) / d for the scaled matrix A = den * m and its last
-    pivot d, and it is int-backed.
+    pivot d, and it is int-backed.  A singular m gets inverse None.
     """
     if m.rows != m.cols:
         raise ShapeError(f"elimination needs a square matrix, got {m.rows}x{m.cols}")
@@ -156,16 +151,6 @@ def eliminate(m: MatrixQ) -> Elimination:
     adj = _back_substitution(a, n)
     inverse = MatrixQ.from_ints(([g * x for x in row] for row in adj), abs(pivot))
     return Elimination(Fraction(sign * pivot, den**n), rank, inverse)
-
-
-def inverse_exact(m: MatrixQ) -> MatrixQ:
-    """Exact inverse by fraction-free elimination of [m | I] (see `eliminate`)."""
-    if m.rows != m.cols:
-        raise ShapeError(f"inversion needs a square matrix, got {m.rows}x{m.cols}")
-    inverse = eliminate(m).inverse
-    if inverse is None:
-        raise SingularMatrixError(f"matrix of order {m.rows} is singular")
-    return inverse
 
 
 def inertia_exact(m: MatrixQ) -> CongruenceReport:
@@ -334,41 +319,29 @@ def power_iteration_rho(m: MatrixQ, tol: float = 1e-12, max_iters: int = 10000) 
     )
 
 
-def rank_certificate_vectors(n: int) -> tuple[VectorQ, VectorQ, VectorQ]:
-    """The three padding rows of the rank certificate's target matrix.
-
-    Each has length n-3: a leading -1 followed by repeated blocks of
-    (-3,0,0), (0,-3,0) and (0,0,-3) respectively.
-    """
-    if n % 3 != 1 or n < 10:
-        raise ValueError(f"rank certificate needs n % 3 == 1 and n >= 10, got {n}")
-    blocks = (n - 4) // 3
-    p = VectorQ([-1] + [-3, 0, 0] * blocks)
-    q = VectorQ([-1] + [0, -3, 0] * blocks)
-    r = VectorQ([-1] + [0, 0, -3] * blocks)
-    return p, q, r
-
-
 def rank_certificate_check(lhat: MatrixQ, e: MatrixQ) -> bool:
     """Verify the rank-(n-3) certificate of the singular-case Laplacian lhat.
 
     Assembles the n x (n-3) matrices X (bordered cyclic construction, three
-    zero rows at the bottom) and C (3I stacked over the three padding rows),
-    then checks lhat * e * X == C exactly and rank(C) == n-3, where e is the
-    eccentricity matrix and n its order.
+    zero rows at the bottom) and C (3I stacked over three padding rows, each
+    a leading -1 followed by repeated blocks of (-3,0,0), (0,-3,0) or
+    (0,0,-3)), then checks lhat * e * X == C exactly and rank(C) == n-3,
+    where e is the eccentricity matrix and n its order.
     """
     n = e.rows
     if n % 3 != 1 or n < 10:
         raise ValueError(f"rank certificate needs n % 3 == 1 and n >= 10, got {n}")
-    s = VectorQ([-2, 0, 0] + [-1, 0, 0] * ((n - 7) // 3))
-    sdense, _ = int_rows(to_dense(CirculantQ(s)))  # s is integral: denominator 1
     x_rows = [[n - 10] + [n - 7] * (n - 4)]  # X over the denominator 2
-    x_rows.extend([-1] + [3 * v for v in row] for row in sdense)
+    s = [-6, 0, 0] + [-3, 0, 0] * ((n - 7) // 3)  # 3 cir(-2,0,0,-1,0,0,...): one shift per row
+    for _ in range(n - 4):
+        x_rows.append([-1] + s)
+        s = [s[-1]] + s[:-1]
     x_rows.extend([0] * (n - 3) for _ in range(3))
     x = MatrixQ.from_ints(x_rows, 2)
 
+    blocks = (n - 4) // 3
     c_rows = [[3 if i == j else 0 for j in range(n - 3)] for i in range(n - 3)]
-    c_rows.extend(int_entries(v)[0] for v in rank_certificate_vectors(n))
+    c_rows.extend([-1] + pad * blocks for pad in ([-3, 0, 0], [0, -3, 0], [0, 0, -3]))
     c = MatrixQ.from_ints(c_rows)
 
     lhs = mat_mul(mat_mul(lhat, e), x)

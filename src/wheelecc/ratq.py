@@ -6,21 +6,41 @@ package is exact.  A matrix holds its entries as Fractions, as rows of
 Python ints over one positive denominator, or both (see `MatrixQ`).  Values
 are immutable (tuple storage); a matrix only caches its other
 representation the first time it is needed, so values are safe to share
-across threads.
+across threads.  `InertiaTriple` lives here too: the closed forms and the
+congruence oracle both return it, and neither imports the other.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, mul, sub
 from typing import Iterable, Sequence
 
-Rat = Fraction
-
 
 class ShapeError(ValueError):
     """Dimension mismatch between operands."""
+
+
+@dataclass(frozen=True)
+class InertiaTriple:
+    """Counts of positive, negative and zero eigenvalues of a symmetric matrix."""
+
+    n_plus: int
+    n_minus: int
+    n_zero: int
+
+    @property
+    def order(self) -> int:
+        return self.n_plus + self.n_minus + self.n_zero
+
+    @property
+    def rank(self) -> int:
+        return self.n_plus + self.n_minus
+
+    def as_tuple(self) -> tuple[int, int, int]:
+        return (self.n_plus, self.n_minus, self.n_zero)
 
 
 def rat(x) -> Fraction:
@@ -199,9 +219,6 @@ class MatrixQ:
             return False
         a, _ = _ints(self)
         return a == tuple(zip(*a))
-
-    def is_square(self) -> bool:
-        return self.rows == self.cols
 
     def mul_vec(self, v: VectorQ) -> VectorQ:
         """Exact product m v, computed on ints over the two common denominators."""

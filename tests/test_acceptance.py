@@ -38,7 +38,7 @@ from wheelecc.closedform import (
     weight_w,
     wheel_u,
 )
-from wheelecc.circulant import TridiagSpec, tridiagonal
+from wheelecc.circulant import tridiagonal
 from wheelecc.oracle import (
     bareiss_det,
     inertia_exact,
@@ -66,7 +66,7 @@ def test_criterion_01_determinant_theorem():
 
 def test_criterion_02_tridiagonal_and_bordered_determinants():
     for order in range(1, 61):
-        dense = tridiagonal(TridiagSpec(order, -2, -2, -2))
+        dense = tridiagonal(order, -2, -2, -2)
         assert det_T_closed(order) == bareiss_det(dense), f"T order={order}"
     for n in range(2, 61):
         assert det_B_closed(n) == bareiss_det(bordered_B(n)), f"B n={n}"

@@ -9,7 +9,6 @@ from helpers import cofactor_det, rand_vector
 from wheelecc.circulant import (
     CirculantQ,
     ResidueClassError,
-    TridiagSpec,
     basis_c,
     circ_mul,
     is_symmetric_in_last_coords,
@@ -224,15 +223,23 @@ def test_special_z_sum_symmetry_residue():
 
 
 def test_tridiagonal_order_one():
-    spec = TridiagSpec(1, Fraction(7), Fraction(2), Fraction(3))
-    assert tridiagonal(spec) == MatrixQ([[7]])
+    assert tridiagonal(1, Fraction(7), Fraction(2), Fraction(3)) == MatrixQ([[7]])
+
+
+def test_tridiagonal_validates_order_and_coerces_entries():
+    with pytest.raises(ShapeError, match="tridiagonal order must be >= 1, got 0"):
+        tridiagonal(0, 1, 1, 1)
+    with pytest.raises(TypeError):
+        tridiagonal(2, 0.5, 1, 1)
+    t = tridiagonal(2, "1/2", 3, Fraction(-1, 3))
+    assert t == MatrixQ([[Fraction(1, 2), 3], [Fraction(-1, 3), Fraction(1, 2)]])
 
 
 def test_tridiagonal_det_by_cofactor():
-    t3 = tridiagonal(TridiagSpec(3, -2, -2, -2))
+    t3 = tridiagonal(3, -2, -2, -2)
     assert cofactor_det(t3) == 8
 
 
 def test_tridiagonal_symmetry_iff_equal_off_diagonals():
-    assert tridiagonal(TridiagSpec(4, 1, 5, 5)).is_symmetric()
-    assert not tridiagonal(TridiagSpec(4, 1, 5, 3)).is_symmetric()
+    assert tridiagonal(4, 1, 5, 5).is_symmetric()
+    assert not tridiagonal(4, 1, 5, 3).is_symmetric()

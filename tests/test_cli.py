@@ -14,7 +14,7 @@ from wheelecc import checks, cli, oracle
 from wheelecc import closedform as cf
 from wheelecc.checks import Check, CheckResult, run_checks
 from wheelecc.cli import cmd_gen, cmd_sweep, cmd_verify, main
-from wheelecc.ratq import VectorQ
+from wheelecc.ratq import MatrixQ, VectorQ, identity
 
 
 def run_main(capsys, argv):
@@ -506,3 +506,32 @@ def test_irreducibility_routes_disagreeing_is_a_failure(monkeypatch):
     assert {k: c.status for k, c in report.items()} == {k: c.status for k, c in baseline.items()}
     # above the literal-power cutoff only strong connectivity runs
     assert {c.name: c.status for c in run_checks(13).checks}["irreducible_prop_2_3"] == "pass"
+
+
+@pytest.mark.parametrize(
+    "actual, shape",
+    [
+        (identity(2), "2x2"),
+        (identity(4), "4x4"),
+        (MatrixQ([[1, 0], [0, 1], [0, 0]]), "3x2"),  # every shared cell agrees
+    ],
+    ids=["smaller", "larger", "narrower"],
+)
+def test_mat_eq_shape_mismatch_is_a_failure(actual, shape):
+    assert checks._mat_eq(identity(3), actual) == (
+        "exact matrix equality", f"shape mismatch: expected 3x3, got {shape}", False,
+    )
+
+
+def test_shape_mismatch_inside_a_check_is_reported_as_fail(monkeypatch):
+    def padded(ctx):
+        rows = [list(r) + [0] for r in ctx.E_me.iter_rows()]
+        return MatrixQ(rows + [[0] * (ctx.n + 1)])
+
+    baseline = {c.name: c.status for c in run_checks(7).checks}
+    monkeypatch.setattr(checks.VerifyContext, "E_me_def", property(padded))
+    report = {c.name: c for c in run_checks(7).checks}
+    got = report.pop("ecc_minus_edge_sec_4")
+    assert baseline.pop("ecc_minus_edge_sec_4") == "pass"
+    assert (got.status, got.actual) == ("fail", "shape mismatch: expected 8x8, got 7x7")
+    assert {k: c.status for k, c in report.items()} == baseline

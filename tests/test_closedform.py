@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from wheelecc.circulant import CirculantQ, ResidueClassError, TridiagSpec, to_dense, tridiagonal
+from wheelecc.circulant import CirculantQ, ResidueClassError, to_dense, tridiagonal
 from wheelecc.closedform import (
     InertiaTriple,
     bordered_B,
@@ -33,7 +33,7 @@ from wheelecc.closedform import (
     wheel_u,
 )
 from wheelecc.graphs import bfs_distances, build_wheel, delete_cycle_edge, eccentricity_matrix_definitional
-from wheelecc.oracle import bareiss_det, inertia_exact, inverse_exact, rank_exact
+from wheelecc.oracle import bareiss_det, eliminate, inertia_exact, rank_exact
 from wheelecc.ratq import MatrixQ, VectorQ, identity, jmatrix, mat_mul, ones_vector
 
 F = Fraction
@@ -110,7 +110,7 @@ def test_det_tridiagonal_order2_degenerate():
 def test_det_tridiagonal_vs_bareiss():
     for order in range(1, 9):
         for abc in [(1, 1, 1), (3, 2, 1), (-2, -2, -2), (F(1, 2), 2, F(3, 2))]:
-            dense = tridiagonal(TridiagSpec(order, *abc))
+            dense = tridiagonal(order, *abc)
             assert det_tridiagonal_closed(order, *abc) == bareiss_det(dense)
 
 
@@ -124,7 +124,7 @@ def test_det_tridiagonal_outside_formula_domain():
     # a=2, b=c=1 has a^2 == 4bc; the recurrence gives order + 1
     for order in range(1, 10):
         assert det_tridiagonal_closed(order, 2, 1, 1) == order + 1
-        assert bareiss_det(tridiagonal(TridiagSpec(order, 2, 1, 1))) == order + 1
+        assert bareiss_det(tridiagonal(order, 2, 1, 1)) == order + 1
 
 
 def test_det_T_examples():
@@ -132,7 +132,7 @@ def test_det_T_examples():
     assert det_T_closed(2) == 0
     assert det_T_closed(4) == -16
     for order in range(1, 31):
-        dense = tridiagonal(TridiagSpec(order, -2, -2, -2))
+        dense = tridiagonal(order, -2, -2, -2)
         assert det_T_closed(order) == bareiss_det(dense)
 
 
@@ -313,7 +313,7 @@ def test_inverse_exact_product():
 
 def test_inverse_matches_gauss_jordan():
     for n in (5, 6, 8, 9, 11, 12):
-        assert inverse_E_closed(n) == inverse_exact(ecc_matrix_wheel(n))
+        assert inverse_E_closed(n) == eliminate(ecc_matrix_wheel(n)).inverse
 
 
 def test_inverse_residue_error_names_singularity():

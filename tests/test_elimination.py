@@ -1,11 +1,11 @@
 """Differential tests: the fraction-free elimination core against slower exact routes.
 
 `bareiss_det` and `rank_exact` read their answer off the forward pass of one
-integer elimination, `inverse_exact` and `eliminate` off the forward pass of
-[m | I] and, at full rank, a fraction-free back substitution.  Each is
-compared with the Fraction row reductions and the Gauss-Jordan determinant,
-rank and elimination of [m | I] kept in `helpers` and, where sympy is
-installed, with sympy.
+integer elimination, and `eliminate` reads det, rank and inverse (None when
+singular) off the forward pass of [m | I] and, at full rank, a fraction-free
+back substitution.  Each is compared with the Fraction row reductions and
+the Gauss-Jordan determinant, rank and elimination of [m | I] kept in
+`helpers` and, where sympy is installed, with sympy.
 """
 
 import random
@@ -25,22 +25,13 @@ from helpers import (
 from wheelecc.closedform import ecc_matrix_wheel, laplacian_hat, laplacian_tilde
 from wheelecc.oracle import (
     Elimination,
-    SingularMatrixError,
     bareiss_det,
     eliminate,
-    inverse_exact,
     rank_exact,
 )
 from wheelecc.ratq import MatrixQ, ShapeError, mat_mul
 
 DENOMINATORS = (1, 2, 3, 4, 6, 7, 12)
-
-
-def _oracle_inverse(m: MatrixQ) -> MatrixQ | None:
-    try:
-        return inverse_exact(m)
-    except SingularMatrixError:
-        return None
 
 
 def _random_case(rng: random.Random, t: int) -> MatrixQ:
@@ -76,10 +67,10 @@ def _assert_routes_agree(m: MatrixQ) -> None:
         with pytest.raises(ShapeError):
             bareiss_det(m)
         with pytest.raises(ShapeError):
-            inverse_exact(m)
+            eliminate(m)
         return
     assert bareiss_det(m) == ref_bareiss_det(m)
-    assert _oracle_inverse(m) == ref_inverse_exact(m)
+    assert eliminate(m).inverse == ref_inverse_exact(m)
 
 
 def test_core_matches_fraction_routes_random():
@@ -129,14 +120,13 @@ def test_core_row_swaps_and_skipped_columns():
     # an all-zero first column is skipped, not a rank loss beyond it
     m = MatrixQ([[0, 1, 2], [0, 2, 4], [0, 1, 3]])
     assert rank_exact(m) == 2 and bareiss_det(m) == 0
-    with pytest.raises(SingularMatrixError):
-        inverse_exact(m)
+    assert eliminate(m).inverse is None
     # mixed denominators cancel against the lcm scaling
     m = MatrixQ([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 4), Fraction(1, 6)]])
     assert rank_exact(m) == 1 and bareiss_det(m) == 0
     m = MatrixQ([[0, Fraction(1, 2)], [Fraction(2, 3), 0]])
     assert bareiss_det(m) == Fraction(-1, 3)
-    assert inverse_exact(m) == MatrixQ([[0, Fraction(3, 2)], [2, 0]])
+    assert eliminate(m).inverse == MatrixQ([[0, Fraction(3, 2)], [2, 0]])
 
 
 def _wheel_matrices(n: int):
@@ -151,11 +141,9 @@ def test_core_matches_fraction_routes_on_wheel_matrices(n):
         assert rank_exact(m) == rank
         assert bareiss_det(m) == ref_bareiss_det(m)
         if rank < n:
-            # singular inverses are compared on the random cases above
-            with pytest.raises(SingularMatrixError):
-                inverse_exact(m)
+            assert eliminate(m).inverse is None
         else:
-            assert inverse_exact(m) == ref_inverse_exact(m)
+            assert eliminate(m).inverse == ref_inverse_exact(m)
 
 
 @pytest.mark.parametrize("n", range(5, 41))
@@ -164,7 +152,7 @@ def test_eliminate_matches_separate_oracle_calls_on_E(n):
     elim = eliminate(e)
     assert elim.det == bareiss_det(e)
     assert elim.rank == rank_exact(e)
-    assert elim.inverse == _oracle_inverse(e)
+    assert elim.inverse == ref_inverse_exact(e)
     assert (elim.inverse is None) == (n % 3 == 1)
     assert (elim.det, elim.rank, elim.inverse) == ref_gauss_jordan_eliminate(e)
 
@@ -185,7 +173,7 @@ def test_core_matches_sympy_on_wheel_matrices(n):
         assert rank_exact(m) == s.rank()
         det = _from_sympy(s.det())
         assert bareiss_det(m) == det
-        inv = _oracle_inverse(m)
+        inv = eliminate(m).inverse
         assert (inv is None) == (det == 0)
         if inv is not None:
             assert inv == MatrixQ([[_from_sympy(x) for x in row] for row in s.inv().to_list()])

@@ -10,7 +10,6 @@ from wheelecc.closedform import ecc_matrix_wheel, wheel_d
 from wheelecc.graphs import (
     Graph,
     GraphError,
-    WheelSpec,
     bfs_distances,
     build_wheel,
     delete_cycle_edge,
@@ -18,13 +17,6 @@ from wheelecc.graphs import (
     eccentricity_matrix_definitional,
 )
 from wheelecc.ratq import MatrixQ, VectorQ, identity, jmatrix
-
-
-def test_wheel_spec_fields():
-    ws = WheelSpec.of(7)
-    assert ws.n == 7
-    with pytest.raises(GraphError):
-        WheelSpec.of(3)
 
 
 def test_build_wheel_4_is_complete():

@@ -20,16 +20,14 @@ from wheelecc.closedform import (
 from wheelecc.oracle import (
     PIVOT_HYPERBOLIC,
     PowerIterationError,
-    SingularMatrixError,
     bareiss_det,
+    eliminate,
     inertia_exact,
-    inverse_exact,
     is_irreducible,
     literal_power_positive,
     penrose_check,
     power_iteration_rho,
     rank_certificate_check,
-    rank_certificate_vectors,
     rank_exact,
 )
 from wheelecc.ratq import MatrixQ, ShapeError, VectorQ, identity, mat_mul, zeros
@@ -99,21 +97,20 @@ def test_rank_rectangular():
 
 def test_inverse_identity():
     for n in (1, 3, 6):
-        assert inverse_exact(identity(n)) == identity(n)
+        assert eliminate(identity(n)).inverse == identity(n)
 
 
 def test_inverse_random_product():
     rng = random.Random(227)
     for _ in range(60):
         m = rand_nonsingular(rng, rng.randint(1, 5))
-        assert mat_mul(inverse_exact(m), m) == identity(m.rows)
+        assert mat_mul(eliminate(m).inverse, m) == identity(m.rows)
 
 
 def test_inverse_singular_error_distinct_from_shape_error():
-    with pytest.raises(SingularMatrixError):
-        inverse_exact(ecc_matrix_wheel(7))
+    assert eliminate(ecc_matrix_wheel(7)).inverse is None
     with pytest.raises(ShapeError):
-        inverse_exact(MatrixQ([[1, 2]]))
+        eliminate(MatrixQ([[1, 2]]))
 
 
 # --- inertia by congruence ---------------------------------------------------
@@ -260,14 +257,6 @@ def test_power_iteration_non_convergence_reports_last():
 def test_rank_certificate_10_and_13():
     assert rank_certificate_check(laplacian_hat(10), ecc_matrix_wheel(10))
     assert rank_certificate_check(laplacian_hat(13), ecc_matrix_wheel(13))
-
-
-def test_rank_certificate_vectors_shape():
-    p, q, r = rank_certificate_vectors(13)
-    assert p == VectorQ([-1, -3, 0, 0, -3, 0, 0, -3, 0, 0])
-    assert len(p) == len(q) == len(r) == 10
-    assert q == VectorQ([-1, 0, -3, 0, 0, -3, 0, 0, -3, 0])
-    assert r == VectorQ([-1, 0, 0, -3, 0, 0, -3, 0, 0, -3])
 
 
 def test_rank_certificate_rejects_out_of_domain():
