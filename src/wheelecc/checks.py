@@ -133,7 +133,6 @@ class Check:
     residues: frozenset[int]  # applicable n % 3 classes
     run: Runner
     min_n: int = 5
-    skip_note: str = ""
 
     def applicable(self, n: int) -> str | None:
         """None when runnable, else a skip reason."""
@@ -173,6 +172,10 @@ def _tf(b: bool) -> str:
 
 def _bool(expected: bool, actual: bool, detail: str = "") -> tuple[str, str, bool]:
     return _tf(expected), _tf(actual) + (f" ({detail})" if detail else ""), expected == actual
+
+
+def _holds(description: str, ok: bool) -> tuple[str, str, bool]:
+    return description, "holds" if ok else "violated", ok
 
 
 # --- determinants -----------------------------------------------------------
@@ -277,7 +280,7 @@ def _chk_nullvec(ctx):
     pair = MatrixQ([[x[i], y[i]] for i in range(n)])
     ok = ok and oracle.rank_exact(pair) == 2
     ok = ok and ctx.w.dot(x) == 0 and ctx.w.dot(y) == 0
-    return "E x = E y = 0, independent, orthogonal to w", "holds" if ok else "violated", ok
+    return _holds("E x = E y = 0, independent, orthogonal to w", ok)
 
 
 # --- special vectors and circulant structure --------------------------------
@@ -290,23 +293,19 @@ def _chk_patterns(ctx):
     else:
         v, combination = special_y(n), combination_y(n)
     ok = v == combination and is_symmetric_in_last_coords(v) and v.sum() == 2 - n
-    return (
-        "pattern == combination form, palindromic tail, sum 2-n",
-        "holds" if ok else "violated",
-        ok,
-    )
+    return _holds("pattern == combination form, palindromic tail, sum 2-n", ok)
 
 
 def _chk_zvec(ctx):
     z = special_z(ctx.n)
     ok = is_symmetric_in_last_coords(z) and z.sum() == (ctx.n - 1) * (2 - ctx.n)
-    return "palindromic tail, sum (n-1)(2-n)", "holds" if ok else "violated", ok
+    return _holds("palindromic tail, sum (n-1)(2-n)", ok)
 
 
 def _chk_circ_symmetry(ctx):
     dense = to_dense(ctx.block)
     ok = is_symmetric_in_last_coords(ctx.block.first_row) and dense.is_symmetric()
-    return "palindromic tail gives symmetric circulant", "holds" if ok else "violated", ok
+    return _holds("palindromic tail gives symmetric circulant", ok)
 
 
 def _chk_circ_props(ctx):
@@ -317,7 +316,7 @@ def _chk_circ_props(ctx):
     ok = ok and to_dense(circ_mul(a, b)) == prod
     lin = CirculantQ(a.first_row.scaled(2) + b.first_row.scaled(3))
     ok = ok and to_dense(lin) == da.scaled(2) + db.scaled(3)
-    return "commutative, product row rule, linearity", "holds" if ok else "violated", ok
+    return _holds("commutative, product row rule, linearity", ok)
 
 
 def _chk_period3(ctx):
@@ -367,7 +366,7 @@ def _chk_inverse(ctx):
     n = ctx.n
     ok = mat_mul(ctx.E, ctx.X) == identity(n) and mat_mul(ctx.X, ctx.E) == identity(n)
     ok = ok and ctx.X == ctx.E_elim.inverse
-    return "E X = X E = I and X matches row-reduction inverse", "holds" if ok else "violated", ok
+    return _holds("E X = X E = I and X matches row-reduction inverse", ok)
 
 
 def _chk_laplike_L(ctx):
@@ -377,9 +376,11 @@ def _chk_laplike_L(ctx):
     return _bool(True, ok, "L e = 0 and symmetric")
 
 
-def _chk_rank_Ltilde(ctx):
+def _chk_rank_L(ctx):
+    """Ltilde has rank n-1 (n % 3 != 1) and Lhat rank n-3 (n % 3 == 1)."""
+    expected = ctx.n - 1 if ctx.n % 3 != 1 else ctx.n - 3
     actual = oracle.rank_exact(ctx.L)
-    return str(ctx.n - 1), str(actual), actual == ctx.n - 1
+    return str(expected), str(actual), actual == expected
 
 
 # --- pseudoinverse-side identities ------------------------------------------
@@ -442,11 +443,6 @@ def _chk_pinv_XE(ctx):
     return _mat_eq(MatrixQ.from_ints(rows, d), lhs)
 
 
-def _chk_rank_Lhat(ctx):
-    actual = oracle.rank_exact(ctx.L)
-    return str(ctx.n - 3), str(actual), actual == ctx.n - 3
-
-
 def _chk_rank_cert(ctx):
     return _bool(True, oracle.rank_certificate_check(ctx.L, ctx.E), "certificate")
 
@@ -503,9 +499,7 @@ def _chk_quotient(ctx):
         q[0, 0] * q[1, 1] - q[0, 1] * q[1, 0] == res.rho_int_part**2 - res.radicand
     )
     ok = block_sums_ok and char_ok
-    return "equitable block row sums and characteristic polynomial", (
-        "holds" if ok else "violated"
-    ), ok
+    return _holds("equitable block row sums and characteristic polynomial", ok)
 
 
 def _chk_edm_witness(ctx):
@@ -547,7 +541,7 @@ CHECKS: tuple[Check, ...] = (
     Check("identity_LE_5_1", INVERTIBLE, _chk_LE_identity),
     Check("inverse_thm_5_8", INVERTIBLE, _chk_inverse),
     Check("laplike_Ltilde", INVERTIBLE, _chk_laplike_L),
-    Check("rank_Ltilde_thm_5_10", INVERTIBLE, _chk_rank_Ltilde),
+    Check("rank_Ltilde_thm_5_10", INVERTIBLE, _chk_rank_L),
     Check("lemma_Pe", SINGULAR, _chk_block_row_sums, min_n=7),
     Check("lemma_PV", SINGULAR, _chk_PV, min_n=7),
     Check("lemma_PU", SINGULAR, _chk_PU, min_n=7),
@@ -555,7 +549,7 @@ CHECKS: tuple[Check, ...] = (
     Check("pinv_thm_6_6", SINGULAR, _chk_pinv, min_n=7),
     Check("pinv_XE_structure", SINGULAR, _chk_pinv_XE, min_n=7),
     Check("laplike_Lhat", SINGULAR, _chk_laplike_L, min_n=7),
-    Check("rank_Lhat_thm_6_10", SINGULAR, _chk_rank_Lhat, min_n=7),
+    Check("rank_Lhat_thm_6_10", SINGULAR, _chk_rank_L, min_n=7),
     Check("rank_cert_lem_6_9", SINGULAR, _chk_rank_cert, min_n=10),
     Check("irreducible_prop_2_3", ALL, _chk_irreducible),
     Check("spectral_radius_sec_2_4", ALL, _chk_spectral_radius),

@@ -210,6 +210,23 @@ def test_cmd_gen_library_entry():
     assert json.loads(out)[0] == ["0", "1", "1", "1", "1"]
     with pytest.raises(ValueError):
         cmd_gen("inverse", 7, "json")
+    with pytest.raises(ValueError, match="unknown object 'bogus'"):
+        cmd_gen("bogus", 5)
+
+
+@pytest.mark.parametrize(
+    "argv", [[], ["gen"], ["verify"], ["sweep"]], ids=["top", "gen", "verify", "sweep"]
+)
+def test_help_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: wheelecc")
+    if argv:
+        assert "--format" in out and "--max-n-override" in out
+        assert ("--tol" in out and "--timings" in out) == (argv != ["gen"])
+        assert ("--jobs" in out) == (argv == ["sweep"])
 
 
 def test_report_dataclass_counts():
@@ -308,12 +325,12 @@ def test_n_guardrail_applies_to_every_verb(monkeypatch, capsys, argv):
         built.append(n)
         return checks.VerificationReport(n, (CheckResult("stub", "pass", "", "", 0.0),))
 
-    def fake_gen_value(obj, n):
+    def fake_builder(n):
         built.append(n)
         return VectorQ([n])
 
     monkeypatch.setattr(cli, "run_checks", fake_run_checks)
-    monkeypatch.setattr(cli, "_gen_value", fake_gen_value)
+    monkeypatch.setitem(cli.GEN_OBJECTS, "E", fake_builder)
     code, out, err = run_main(capsys, argv)
     what = "n_max" if argv[0] == "sweep" else "n"
     assert (code, out, built) == (2, "", [])

@@ -1,7 +1,9 @@
-"""The README's library example runs as written."""
+"""The README's library example runs as written, and its CLI facts match the code."""
 
 import re
 from pathlib import Path
+
+from wheelecc import checks, cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -14,3 +16,14 @@ def test_readme_python_example_runs():
     blocks = _python_blocks()
     assert len(blocks) == 1
     exec(compile(blocks[0], str(README), "exec"), {})
+
+
+def test_readme_gen_objects_match_cli():
+    text = README.read_text()
+    listed = re.search(r"^Objects for `gen`: (.*?)\.\s", text, flags=re.M | re.S).group(1)
+    assert re.findall(r"`([^`]+)`", listed) == list(cli.GEN_OBJECTS)
+
+
+def test_readme_check_count_matches_registry():
+    counts = re.findall(r"(\d+) named checks", README.read_text())
+    assert counts and all(int(c) == len(checks.CHECKS) for c in counts)
