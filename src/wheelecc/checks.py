@@ -34,7 +34,6 @@ from .circulant import (
 )
 from .ratq import MatrixQ, VectorQ, identity, int_entries, int_rows, mat_mul, ones_vector, rat_str
 
-POWER_ITERATION_TOL = 1e-12
 DEFAULT_REPORT_TOL = 1e-8
 LITERAL_POWER_MAX_N = 12  # (I + E)^(n-1) entries grow quickly; cross-check small n only
 
@@ -466,7 +465,7 @@ def _chk_irreducible(ctx):
 
 def _chk_spectral_radius(ctx):
     res = cf.spectral_radius_closed(ctx.n)
-    rho_pi = oracle.power_iteration_rho(ctx.E, tol=POWER_ITERATION_TOL)
+    rho_pi = oracle.power_iteration_rho(ctx.E)
     diff = abs(rho_pi - res.rho_float)
     ef = [[float(x) for x in row] for row in ctx.E.iter_rows()]
     v = res.perron_vector_float()
@@ -558,16 +557,13 @@ CHECKS: tuple[Check, ...] = (
 )
 
 
-def check_names() -> list[str]:
-    return [c.name for c in CHECKS]
-
-
-def _oracle_only_report(n: int, tol: float) -> VerificationReport:
+def _oracle_only_report(n: int) -> VerificationReport:
     """n = 4: the eccentricity and distance matrices coincide (complete graph).
 
-    No closed form applies, so report plain oracle measurements.
+    No closed form applies, so report plain oracle measurements of the
+    definitional (BFS) matrix.
     """
-    e = cf.ecc_matrix_wheel(4)
+    e = VerifyContext(n).E_def
     results = [
         CheckResult(
             "closed_forms",
@@ -582,10 +578,7 @@ def _oracle_only_report(n: int, tol: float) -> VerificationReport:
         ("oracle_inertia", lambda: str(oracle.inertia_exact(e).inertia.as_tuple())),
         ("oracle_rank", lambda: str(oracle.rank_exact(e))),
         ("oracle_irreducible", lambda: "true" if oracle.is_irreducible(e) else "false"),
-        (
-            "oracle_spectral_radius",
-            lambda: f"{oracle.power_iteration_rho(e, tol=POWER_ITERATION_TOL):.9f}",
-        ),
+        ("oracle_spectral_radius", lambda: f"{oracle.power_iteration_rho(e):.9f}"),
     )
     for name, measure in measurements:
         results.append(_run_timed(n, name, lambda: ("oracle-only", measure(), True)))
@@ -615,7 +608,7 @@ def run_checks(n: int, tol: float = DEFAULT_REPORT_TOL) -> VerificationReport:
     if n < 4:
         raise ValueError(f"verification needs n >= 4, got {n}")
     if n == 4:
-        return _oracle_only_report(n, tol)
+        return _oracle_only_report(n)
     ctx = VerifyContext(n, tol)
     results = []
     for check in CHECKS:

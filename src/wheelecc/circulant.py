@@ -29,9 +29,6 @@ class CirculantQ:
     def order(self) -> int:
         return len(self.first_row)
 
-    def scaled(self, c) -> "CirculantQ":
-        return CirculantQ(self.first_row.scaled(c))
-
 
 def shift_T(v: VectorQ, k: int = 1) -> VectorQ:
     """Cyclic right shift applied k times: (f1,..,fm) -> (fm,f1,..,f(m-1)) once."""

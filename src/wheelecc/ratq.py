@@ -93,14 +93,6 @@ class VectorQ:
             raise ShapeError(f"vector lengths differ: {len(self)} vs {len(other)}")
         return VectorQ(a + b for a, b in zip(self.entries, other.entries))
 
-    def __sub__(self, other: "VectorQ") -> "VectorQ":
-        if len(self) != len(other):
-            raise ShapeError(f"vector lengths differ: {len(self)} vs {len(other)}")
-        return VectorQ(a - b for a, b in zip(self.entries, other.entries))
-
-    def __neg__(self) -> "VectorQ":
-        return VectorQ(-a for a in self.entries)
-
     def scaled(self, c) -> "VectorQ":
         c = rat(c)
         return VectorQ(c * a for a in self.entries)
@@ -197,9 +189,6 @@ class MatrixQ:
 
     def __neg__(self) -> "MatrixQ":
         return self.scaled(-1)
-
-    def __matmul__(self, other: "MatrixQ") -> "MatrixQ":
-        return mat_mul(self, other)
 
     def scaled(self, c) -> "MatrixQ":
         """c times the matrix; on ints when the matrix already has an integer view."""

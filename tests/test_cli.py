@@ -128,7 +128,7 @@ def test_every_check_name_appears_exactly_once(capsys):
     _, out, _ = run_main(capsys, ["verify", "12", "--format", "json"])
     body = json.loads(out)
     names = [c["name"] for c in body["checks"]]
-    assert names == checks.check_names()
+    assert names == [c.name for c in checks.CHECKS]
     assert len(names) == len(set(names))
     for c in body["checks"]:
         assert c["status"] in ("pass", "fail", "skip")
@@ -422,6 +422,22 @@ def test_oracle_only_report_times_each_measurement(monkeypatch):
         "oracle_det", "oracle_inertia", "oracle_rank", "oracle_irreducible", "oracle_spectral_radius",
     ]
     assert [c.wall_time_ms for c in timed] == pytest.approx([1.0, 5.0, 9.0, 13.0, 17.0])
+
+
+def test_oracle_only_report_measures_no_closed_form(monkeypatch):
+    def oracle_only(report):
+        return [(c.name, c.status, c.actual) for c in report.checks if c.name.startswith("oracle_")]
+
+    baseline = oracle_only(run_checks(4))
+    assert len(baseline) == 5 and all(status == "pass" for _, status, _ in baseline)
+
+    def no_closed_form(n):
+        raise AssertionError("n = 4 must be measured on the BFS matrix")
+
+    for mod in [m for k, m in sys.modules.items() if k.startswith("wheelecc")]:
+        if getattr(mod, "ecc_matrix_wheel", None) is cf.ecc_matrix_wheel:
+            monkeypatch.setattr(mod, "ecc_matrix_wheel", no_closed_form)
+    assert oracle_only(run_checks(4)) == baseline
 
 
 @pytest.mark.parametrize("n", [12, 13, 14])

@@ -1,8 +1,11 @@
-"""The README's library example runs as written, and its CLI facts match the code."""
+"""The README's library example runs as written and names the package root's
+exports, and its CLI facts match the code."""
 
 import re
+import types
 from pathlib import Path
 
+import wheelecc
 from wheelecc import checks, cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -16,6 +19,14 @@ def test_readme_python_example_runs():
     blocks = _python_blocks()
     assert len(blocks) == 1
     exec(compile(blocks[0], str(README), "exec"), {})
+
+
+def test_package_root_exports_the_readme_example_names():
+    exported = {
+        name for name, obj in vars(wheelecc).items()
+        if not name.startswith("_") and not isinstance(obj, types.ModuleType)
+    }
+    assert exported == set(re.findall(r"\bw\.(\w+)", _python_blocks()[0]))
 
 
 def test_readme_gen_objects_match_cli():

@@ -4,8 +4,9 @@ The dual-route rule says a closed form is never checked against itself or a
 route derived from it.  These tests make the parts of that rule that show in
 the imports mechanical: the oracles and the graph ground truth depend on the
 scalar/matrix substrate `ratq` alone, the closed forms depend on no oracle,
-and the definitional eccentricity matrices of the check registry come from
-`graphs` calls only.  The modules are parsed, never imported.
+the definitional eccentricity matrices of the check registry come from
+`graphs` calls only, and the oracle-only report at n = 4 reads no closed
+form.  The modules are parsed, never imported.
 """
 
 import ast
@@ -61,14 +62,25 @@ def test_closed_forms_import_no_oracle():
     assert package_imports(_tree("closedform")).isdisjoint({"oracle", "graphs", "checks"})
 
 
+def _function(body: list[ast.stmt], name: str) -> ast.FunctionDef:
+    return next(node for node in body if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+def test_n4_report_reads_no_closed_form():
+    report = _function(_tree("checks").body, "_oracle_only_report")
+    reads = {
+        node.attr for node in ast.walk(report)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "cf"
+    }
+    assert reads == set()
+
+
 def _context_property(name: str) -> ast.FunctionDef:
     context = next(
         node for node in _tree("checks").body
         if isinstance(node, ast.ClassDef) and node.name == "VerifyContext"
     )
-    return next(
-        node for node in context.body if isinstance(node, ast.FunctionDef) and node.name == name
-    )
+    return _function(context.body, name)
 
 
 @pytest.mark.parametrize("name", ["E_def", "E_me_def"])
