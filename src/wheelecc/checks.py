@@ -8,6 +8,7 @@ commands are thin wrappers over `run_checks`.
 
 from __future__ import annotations
 
+import math
 import sys
 import time
 import traceback
@@ -71,19 +72,11 @@ class VerificationReport:
 
 
 class VerifyContext:
-    """Caches the per-n objects shared by several checks."""
+    """Caches the per-n objects shared by several checks; its wheel matrices are BFS-built."""
 
     def __init__(self, n: int, tol: float = DEFAULT_REPORT_TOL):
         self.n = n
         self.tol = tol
-
-    @cached_property
-    def E(self) -> MatrixQ:
-        return cf.ecc_matrix_wheel(self.n)
-
-    @cached_property
-    def E_me(self) -> MatrixQ:
-        return cf.ecc_matrix_wheel_minus_edge(self.n)
 
     @cached_property
     def E_def(self) -> MatrixQ:
@@ -120,7 +113,7 @@ class VerifyContext:
     @cached_property
     def E_elim(self) -> oracle.Elimination:
         """E's det, rank and row-reduction inverse (None when singular), from one elimination."""
-        return oracle.eliminate(self.E)
+        return oracle.eliminate(self.E_def)
 
 
 Runner = Callable[[VerifyContext], tuple[str, str, bool]]
@@ -147,7 +140,7 @@ INVERTIBLE = frozenset({0, 2})
 SINGULAR = frozenset({1})
 
 
-def _scalar(expected: Fraction, actual: Fraction) -> tuple[str, str, bool]:
+def _scalar(expected: Fraction | int, actual: Fraction | int) -> tuple[str, str, bool]:
     return rat_str(expected), rat_str(actual), expected == actual
 
 
@@ -181,11 +174,11 @@ def _holds(description: str, ok: bool) -> tuple[str, str, bool]:
 
 
 def _chk_ecc_blockform(ctx) -> tuple[str, str, bool]:
-    return _mat_eq(ctx.E_def, ctx.E)
+    return _mat_eq(ctx.E_def, cf.ecc_matrix_wheel(ctx.n))
 
 
 def _chk_ecc_minus_edge(ctx):
-    return _mat_eq(ctx.E_me_def, ctx.E_me)
+    return _mat_eq(ctx.E_me_def, cf.ecc_matrix_wheel_minus_edge(ctx.n))
 
 
 def _chk_det_tridiag_generic(ctx):
@@ -222,13 +215,13 @@ def _chk_det_E(ctx):
 
 
 def _chk_det_E_me(ctx):
-    return _scalar(cf.det_E_minus_edge_closed(ctx.n), oracle.bareiss_det(ctx.E_me))
+    return _scalar(cf.det_E_minus_edge_closed(ctx.n), oracle.bareiss_det(ctx.E_me_def))
 
 
 def _chk_invertible(ctx):
     expected = ctx.n % 3 != 1
     inv = ctx.E_elim.inverse
-    actual = inv is not None and mat_mul(ctx.E, inv) == identity(ctx.n)
+    actual = inv is not None and mat_mul(ctx.E_def, inv) == identity(ctx.n)
     return _bool(expected, actual, "invertible" if actual else "singular")
 
 
@@ -246,11 +239,11 @@ def _inertia_pair(closed, report) -> tuple[str, str, bool]:
 
 
 def _chk_inertia_E_me(ctx):
-    return _inertia_pair(cf.inertia_E_minus_edge_closed(ctx.n), oracle.inertia_exact(ctx.E_me))
+    return _inertia_pair(cf.inertia_E_minus_edge_closed(ctx.n), oracle.inertia_exact(ctx.E_me_def))
 
 
 def _chk_inertia_E(ctx):
-    return _inertia_pair(cf.inertia_E_closed(ctx.n), oracle.inertia_exact(ctx.E))
+    return _inertia_pair(cf.inertia_E_closed(ctx.n), oracle.inertia_exact(ctx.E_def))
 
 
 def _chk_interlace(ctx):
@@ -266,16 +259,14 @@ def _chk_interlace(ctx):
 
 
 def _chk_rank_E(ctx):
-    closed = cf.rank_E_closed(ctx.n)
-    actual = ctx.E_elim.rank
-    return str(closed), str(actual), closed == actual
+    return _scalar(cf.rank_E_closed(ctx.n), ctx.E_elim.rank)
 
 
 def _chk_nullvec(ctx):
     n = ctx.n
     x, y = cf.null_vectors(n)
     zero = VectorQ([0] * n)
-    ok = ctx.E.mul_vec(x) == zero and ctx.E.mul_vec(y) == zero
+    ok = ctx.E_def.mul_vec(x) == zero and ctx.E_def.mul_vec(y) == zero
     pair = MatrixQ([[x[i], y[i]] for i in range(n)])
     ok = ok and oracle.rank_exact(pair) == 2
     ok = ok and ctx.w.dot(x) == 0 and ctx.w.dot(y) == 0
@@ -348,14 +339,14 @@ def _chk_Si(ctx):
 
 def _chk_Ew(ctx):
     n = ctx.n
-    got = ctx.E.mul_vec(ctx.w)
+    got = ctx.E_def.mul_vec(ctx.w)
     want = ones_vector(n).scaled(Fraction(n - 1, 6))
     return _bool(True, got == want, "E w = ((n-1)/6) e")
 
 
 def _chk_LE_identity(ctx):
     n = ctx.n
-    lhs = mat_mul(ctx.L, ctx.E) + identity(n).scaled(2)
+    lhs = mat_mul(ctx.L, ctx.E_def) + identity(n).scaled(2)
     w, dw = int_entries(ctx.w)
     rhs = MatrixQ.from_ints(([2 * x] * n for x in w), dw)
     return _mat_eq(rhs, lhs)
@@ -363,7 +354,7 @@ def _chk_LE_identity(ctx):
 
 def _chk_inverse(ctx):
     n = ctx.n
-    ok = mat_mul(ctx.E, ctx.X) == identity(n) and mat_mul(ctx.X, ctx.E) == identity(n)
+    ok = mat_mul(ctx.E_def, ctx.X) == identity(n) and mat_mul(ctx.X, ctx.E_def) == identity(n)
     ok = ok and ctx.X == ctx.E_elim.inverse
     return _holds("E X = X E = I and X matches row-reduction inverse", ok)
 
@@ -377,9 +368,7 @@ def _chk_laplike_L(ctx):
 
 def _chk_rank_L(ctx):
     """Ltilde has rank n-1 (n % 3 != 1) and Lhat rank n-3 (n % 3 == 1)."""
-    expected = ctx.n - 1 if ctx.n % 3 != 1 else ctx.n - 3
-    actual = oracle.rank_exact(ctx.L)
-    return str(expected), str(actual), actual == expected
+    return _scalar(ctx.n - 1 if ctx.n % 3 != 1 else ctx.n - 3, oracle.rank_exact(ctx.L))
 
 
 # --- pseudoinverse-side identities ------------------------------------------
@@ -408,7 +397,7 @@ def _chk_PU(ctx):
 
 def _chk_LhatE(ctx):
     n = ctx.n
-    lhs = mat_mul(ctx.L, ctx.E)
+    lhs = mat_mul(ctx.L, ctx.E_def)
     vp = VectorQ(
         [Fraction(17 - 5 * n, n - 1)]
         + [Fraction(n - 7, n - 1), Fraction(n - 7, n - 1), Fraction(n + 11, n - 1)]
@@ -423,7 +412,7 @@ def _chk_LhatE(ctx):
 
 
 def _chk_pinv(ctx):
-    conds = oracle.penrose_check(ctx.E, ctx.X)
+    conds = oracle.penrose_check(ctx.E_def, ctx.X)
     return (
         "all four Moore-Penrose conditions",
         "/".join("ok" if c else "FAIL" for c in conds),
@@ -433,7 +422,7 @@ def _chk_pinv(ctx):
 
 def _chk_pinv_XE(ctx):
     n = ctx.n
-    lhs = mat_mul(ctx.X, ctx.E)
+    lhs = mat_mul(ctx.X, ctx.E_def)
     v, dv = int_rows(to_dense(CirculantQ(VectorQ([2, -1, -1] * ((n - 1) // 3)))))
     # I - blockdiag(0, V / (n-1)), over the denominator d
     d = dv * (n - 1)
@@ -443,16 +432,16 @@ def _chk_pinv_XE(ctx):
 
 
 def _chk_rank_cert(ctx):
-    return _bool(True, oracle.rank_certificate_check(ctx.L, ctx.E), "certificate")
+    return _bool(True, oracle.rank_certificate_check(ctx.L, ctx.E_def), "certificate")
 
 
 # --- spectral and structural ------------------------------------------------
 
 
 def _chk_irreducible(ctx):
-    connected = oracle.is_irreducible(ctx.E)
+    connected = oracle.is_irreducible(ctx.E_def)
     if ctx.n <= LITERAL_POWER_MAX_N:
-        literal = oracle.literal_power_positive(ctx.E)
+        literal = oracle.literal_power_positive(ctx.E_def)
         if literal != connected:
             return _bool(
                 True,
@@ -465,9 +454,9 @@ def _chk_irreducible(ctx):
 
 def _chk_spectral_radius(ctx):
     res = cf.spectral_radius_closed(ctx.n)
-    rho_pi = oracle.power_iteration_rho(ctx.E)
+    rho_pi = oracle.power_iteration_rho(ctx.E_def)
     diff = abs(rho_pi - res.rho_float)
-    ef = [[float(x) for x in row] for row in ctx.E.iter_rows()]
+    ef = [[float(x) for x in row] for row in ctx.E_def.iter_rows()]
     v = res.perron_vector_float()
     residual = max(
         abs(sum(ef[i][j] * v[j] for j in range(ctx.n)) - res.rho_float * v[i])
@@ -486,10 +475,10 @@ def _chk_quotient(ctx):
     q = cf.quotient_matrix(n)
     block_sums_ok = (
         q[0, 0] == 0
-        and q[0, 1] == ctx.E.row(0).sum()
-        and all(ctx.E[i, 0] == q[1, 0] for i in range(1, n))
+        and q[0, 1] == ctx.E_def.row(0).sum()
+        and all(ctx.E_def[i, 0] == q[1, 0] for i in range(1, n))
         and all(
-            sum(ctx.E[i, j] for j in range(1, n)) == q[1, 1] for i in range(1, n)
+            sum(ctx.E_def[i, j] for j in range(1, n)) == q[1, 1] for i in range(1, n)
         )
     )
     res = cf.spectral_radius_closed(n)
@@ -504,7 +493,7 @@ def _chk_quotient(ctx):
 def _chk_edm_witness(ctx):
     n = ctx.n
     z = cf.edm_witness(n)
-    energy = z.dot(ctx.E.mul_vec(z))
+    energy = z.dot(ctx.E_def.mul_vec(z))
     ok = z.sum() == 0 and energy == cf.edm_witness_value(n)
     return (
         f"e'z = 0 and z'Ez = {rat_str(cf.edm_witness_value(n))}",
@@ -528,12 +517,12 @@ CHECKS: tuple[Check, ...] = (
     Check("inertia_thm_4_6", ALL, _chk_inertia_E),
     Check("interlace_thm_4_3", ALL, _chk_interlace, min_n=6),
     Check("rank_thm_4_5", ALL, _chk_rank_E),
-    Check("nullvec_thm_4_5", SINGULAR, _chk_nullvec, min_n=7),
+    Check("nullvec_thm_4_5", SINGULAR, _chk_nullvec),
     Check("lemma_5_1_patterns", INVERTIBLE, _chk_patterns),
-    Check("zvec_6_1_6_2", SINGULAR, _chk_zvec, min_n=7),
+    Check("zvec_6_1_6_2", SINGULAR, _chk_zvec),
     Check("circ_symmetry", ALL, _chk_circ_symmetry),
     Check("circ_props_2_1_2_3", ALL, _chk_circ_props),
-    Check("lemma_2_1_period3", SINGULAR, _chk_period3, min_n=7),
+    Check("lemma_2_1_period3", SINGULAR, _chk_period3),
     Check("lemma_Me", INVERTIBLE, _chk_block_row_sums),
     Check("lemma_Si", INVERTIBLE, _chk_Si),
     Check("identity_Ew_5_1", ALL, _chk_Ew),
@@ -541,14 +530,14 @@ CHECKS: tuple[Check, ...] = (
     Check("inverse_thm_5_8", INVERTIBLE, _chk_inverse),
     Check("laplike_Ltilde", INVERTIBLE, _chk_laplike_L),
     Check("rank_Ltilde_thm_5_10", INVERTIBLE, _chk_rank_L),
-    Check("lemma_Pe", SINGULAR, _chk_block_row_sums, min_n=7),
-    Check("lemma_PV", SINGULAR, _chk_PV, min_n=7),
-    Check("lemma_PU", SINGULAR, _chk_PU, min_n=7),
-    Check("lemma_LhatE", SINGULAR, _chk_LhatE, min_n=7),
-    Check("pinv_thm_6_6", SINGULAR, _chk_pinv, min_n=7),
-    Check("pinv_XE_structure", SINGULAR, _chk_pinv_XE, min_n=7),
-    Check("laplike_Lhat", SINGULAR, _chk_laplike_L, min_n=7),
-    Check("rank_Lhat_thm_6_10", SINGULAR, _chk_rank_L, min_n=7),
+    Check("lemma_Pe", SINGULAR, _chk_block_row_sums),
+    Check("lemma_PV", SINGULAR, _chk_PV),
+    Check("lemma_PU", SINGULAR, _chk_PU),
+    Check("lemma_LhatE", SINGULAR, _chk_LhatE),
+    Check("pinv_thm_6_6", SINGULAR, _chk_pinv),
+    Check("pinv_XE_structure", SINGULAR, _chk_pinv_XE),
+    Check("laplike_Lhat", SINGULAR, _chk_laplike_L),
+    Check("rank_Lhat_thm_6_10", SINGULAR, _chk_rank_L),
     Check("rank_cert_lem_6_9", SINGULAR, _chk_rank_cert, min_n=10),
     Check("irreducible_prop_2_3", ALL, _chk_irreducible),
     Check("spectral_radius_sec_2_4", ALL, _chk_spectral_radius),
@@ -603,10 +592,18 @@ def _run_timed(n: int, name: str, run: Callable[[], tuple[str, str, bool]]) -> C
     return CheckResult(name, status, expected, actual, ms)
 
 
+def valid_tol(tol: float) -> float:
+    """The report tolerance, once it is finite and > 0; ValueError otherwise."""
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be a finite number > 0, got {tol!r}")
+    return tol
+
+
 def run_checks(n: int, tol: float = DEFAULT_REPORT_TOL) -> VerificationReport:
     """Run every applicable check at this n and collect the report."""
     if n < 4:
         raise ValueError(f"verification needs n >= 4, got {n}")
+    valid_tol(tol)
     if n == 4:
         return _oracle_only_report(n)
     ctx = VerifyContext(n, tol)

@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from . import closedform as cf
-from .checks import DEFAULT_REPORT_TOL, VerificationReport, run_checks
+from .checks import DEFAULT_REPORT_TOL, VerificationReport, run_checks, valid_tol
 from .ratq import MatrixQ, VectorQ
 
 MAX_N = 200  # dense exact matrices: memory and bignum growth set the limit
@@ -82,6 +81,13 @@ def cmd_verify(
     return run_checks(n, tol)
 
 
+def _valid_jobs(jobs: int) -> int:
+    """The worker count, once it is >= 1; ValueError otherwise."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be an integer >= 1, got {jobs!r}")
+    return jobs
+
+
 def _sweep_worker(args: tuple[int, float]) -> VerificationReport:
     n, tol = args
     return run_checks(n, tol)
@@ -101,6 +107,8 @@ def cmd_sweep(
     if n_min < 4 or n_max < n_min:
         raise ValueError(f"invalid range {n_min}..{n_max}; need 4 <= n_min <= n_max")
     _check_max_n(n_max, max_n_override, "n_max")
+    _valid_jobs(jobs)
+    valid_tol(tol)
     work = [(n, tol) for n in range(n_min, n_max + 1)]
     workers = min(jobs, os.cpu_count() or 1, len(work))
     if workers > 1:
@@ -132,8 +140,8 @@ def _report_dict(report: VerificationReport, timings: bool) -> dict:
     }
 
 
-def _render_report_json(reports: list[VerificationReport], timings: bool) -> str:
-    if len(reports) == 1:
+def _render_report_json(reports: list[VerificationReport], timings: bool, sweep: bool) -> str:
+    if not sweep:
         return json.dumps(_report_dict(reports[0], timings), indent=2)
     body = {
         "n_min": reports[0].n,
@@ -165,7 +173,7 @@ def _render_report_csv(reports: list[VerificationReport], timings: bool) -> str:
     return "\n".join(lines)
 
 
-def _render_report_pretty(reports: list[VerificationReport], timings: bool) -> str:
+def _render_report_pretty(reports: list[VerificationReport], timings: bool, sweep: bool) -> str:
     lines = []
     width = max(len(c.name) for r in reports for c in r.checks)
     for r in reports:
@@ -178,7 +186,7 @@ def _render_report_pretty(reports: list[VerificationReport], timings: bool) -> s
             suffix = f"  [{c.wall_time_ms:.1f} ms]" if timings and c.status != "skip" else ""
             lines.append(f"  {mark}  {c.name.ljust(width)}  {detail}{suffix}")
         lines.append(f"  -> {r.n_pass} pass, {r.n_fail} fail, {r.n_skip} skip")
-    if len(reports) > 1:
+    if sweep:
         lines.append(
             f"sweep n = {reports[0].n}..{reports[-1].n}: "
             f"{sum(r.n_pass for r in reports)} pass, {sum(r.n_fail for r in reports)} fail, "
@@ -187,34 +195,27 @@ def _render_report_pretty(reports: list[VerificationReport], timings: bool) -> s
     return "\n".join(lines)
 
 
-def _render_reports(reports: list[VerificationReport], fmt: str, timings: bool) -> str:
+def _render_reports(
+    reports: list[VerificationReport], fmt: str, timings: bool, sweep: bool
+) -> str:
+    """`sweep` (the verb, not the number of reports) chooses the layout."""
     if fmt == "json":
-        return _render_report_json(reports, timings)
+        return _render_report_json(reports, timings, sweep)
     if fmt == "csv":
         return _render_report_csv(reports, timings)
-    return _render_report_pretty(reports, timings)
+    return _render_report_pretty(reports, timings, sweep)
 
 
-def _tolerance(text: str) -> float:
-    """argparse type of --tol: a finite float > 0 (NaN, inf, 0 and below are rejected)."""
-    try:
-        tol = float(text)
-    except ValueError:
-        tol = math.nan
-    if not 0 < tol < math.inf:
-        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
-    return tol
+def _argument(parse, rule):
+    """An argparse type: parse the text, then hold it to the library's own rule."""
 
+    def convert(text: str):
+        try:
+            return rule(parse(text))
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
 
-def _job_count(text: str) -> int:
-    """argparse type of --jobs: an int >= 1."""
-    try:
-        jobs = int(text)
-    except ValueError:
-        jobs = 0
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
-    return jobs
+    return convert
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -225,7 +226,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help=f"allow n (n_max of sweep) beyond the default guardrail of {MAX_N}",
     )
     checking = argparse.ArgumentParser(add_help=False)
-    checking.add_argument("--tol", type=_tolerance, default=DEFAULT_REPORT_TOL,
+    checking.add_argument("--tol", type=_argument(float, valid_tol), default=DEFAULT_REPORT_TOL,
                           help="report tolerance for the power-iteration check")
     checking.add_argument("--timings", action="store_true",
                           help="include wall times (breaks byte-determinism)")
@@ -247,7 +248,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", parents=[every_verb, checking], help="verify a range of n")
     p_sweep.add_argument("n_min", type=int)
     p_sweep.add_argument("n_max", type=int)
-    p_sweep.add_argument("--jobs", type=_job_count, default=1,
+    p_sweep.add_argument("--jobs", type=_argument(int, _valid_jobs), default=1,
                          help="worker processes, capped at the cpu count and the number of n")
     return parser
 
@@ -265,7 +266,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(_render_reports(reports, args.format, args.timings))
+    print(_render_reports(reports, args.format, args.timings, args.command == "sweep"))
     fails = sum(r.n_fail for r in reports)
     if args.command == "sweep":
         ms = [c.wall_time_ms for r in reports for c in r.checks]

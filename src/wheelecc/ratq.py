@@ -290,13 +290,11 @@ def zeros(rows: int, cols: int) -> MatrixQ:
     return MatrixQ.from_ints([0] * cols for _ in range(rows))
 
 
-def jmatrix(rows: int, cols: int | None = None) -> MatrixQ:
-    """All-ones matrix."""
-    if cols is None:
-        cols = rows
-    if rows < 1 or cols < 1:
-        raise ShapeError("invalid dimension; need rows, cols >= 1")
-    return MatrixQ.from_ints([1] * cols for _ in range(rows))
+def jmatrix(n: int) -> MatrixQ:
+    """The n-by-n all-ones matrix; n must be a positive integer."""
+    if n < 1:
+        raise ShapeError(f"invalid dimension {n}; need n >= 1")
+    return MatrixQ.from_ints([1] * n for _ in range(n))
 
 
 def int_entries(v: VectorQ) -> tuple[list[int], int]:

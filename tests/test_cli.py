@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -134,6 +135,13 @@ def test_every_check_name_appears_exactly_once(capsys):
         assert c["status"] in ("pass", "fail", "skip")
 
 
+def test_every_size_rule_excludes_some_n_of_its_residue_classes():
+    """A min_n above 5 that skips no n >= 5 in the check's classes says nothing."""
+    for c in checks.CHECKS:
+        if c.min_n > 5:
+            assert any(n % 3 in c.residues for n in range(5, c.min_n)), c.name
+
+
 def test_skip_only_for_inapplicable_residue_or_size(capsys):
     _, out, _ = run_main(capsys, ["verify", "13", "--format", "json"])
     body = json.loads(out)
@@ -159,6 +167,21 @@ def test_sweep_exit_zero_and_counts(capsys):
     assert body["total_fail"] == 0
     assert body["first_failure"] is None
     assert [r["n"] for r in body["reports"]] == [5, 6, 7, 8]
+
+
+def test_sweep_of_one_n_keeps_the_sweep_layout(capsys):
+    code, out, _ = run_main(capsys, ["sweep", "7", "7", "--format", "json"])
+    assert code == 0
+    body = json.loads(out)
+    single = json.loads(run_main(capsys, ["verify", "7", "--format", "json"])[1])
+    assert body == {
+        "n_min": 7, "n_max": 7, "total_pass": single["pass"], "total_fail": 0,
+        "total_skip": single["skip"], "first_failure": None, "reports": [single],
+    }
+    _, pretty, _ = run_main(capsys, ["sweep", "7", "7"])
+    _, single_pretty, _ = run_main(capsys, ["verify", "7"])
+    summary = f"sweep n = 7..7: {single['pass']} pass, 0 fail, {single['skip']} skip\n"
+    assert pretty == single_pretty + summary
 
 
 def test_sweep_invalid_range(capsys):
@@ -364,6 +387,20 @@ def test_jobs_below_one_is_usage_error(capsys, jobs):
     assert "error:" in captured.err and "--jobs" in captured.err
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_library_entries_reject_the_tol_the_cli_rejects(tol):
+    with pytest.raises(ValueError, match="tol must be a finite number > 0"):
+        run_checks(12, tol=tol)
+    with pytest.raises(ValueError, match="tol must be a finite number > 0"):
+        cmd_sweep(5, 6, tol=tol)
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_library_sweep_rejects_the_jobs_the_cli_rejects(jobs):
+    with pytest.raises(ValueError, match="jobs must be an integer >= 1"):
+        cmd_sweep(5, 6, jobs=jobs)
+
+
 class _RecordingPool:
     """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
 
@@ -557,14 +594,44 @@ def test_mat_eq_shape_mismatch_is_a_failure(actual, shape):
 
 
 def test_shape_mismatch_inside_a_check_is_reported_as_fail(monkeypatch):
-    def padded(ctx):
-        rows = [list(r) + [0] for r in ctx.E_me.iter_rows()]
-        return MatrixQ(rows + [[0] * (ctx.n + 1)])
+    genuine = cf.ecc_matrix_wheel_minus_edge
+
+    def padded(n):
+        rows = [list(r) + [0] for r in genuine(n).iter_rows()]
+        return MatrixQ(rows + [[0] * (n + 1)])
 
     baseline = {c.name: c.status for c in run_checks(7).checks}
-    monkeypatch.setattr(checks.VerifyContext, "E_me_def", property(padded))
+    monkeypatch.setattr(cf, "ecc_matrix_wheel_minus_edge", padded)
     report = {c.name: c for c in run_checks(7).checks}
     got = report.pop("ecc_minus_edge_sec_4")
     assert baseline.pop("ecc_minus_edge_sec_4") == "pass"
-    assert (got.status, got.actual) == ("fail", "shape mismatch: expected 8x8, got 7x7")
+    assert (got.status, got.actual) == ("fail", "shape mismatch: expected 7x7, got 8x8")
     assert {k: c.status for k, c in report.items()} == baseline
+
+
+@pytest.mark.parametrize("n", [12, 13, 14])
+@pytest.mark.parametrize(
+    "builder, check",
+    [("ecc_matrix_wheel", "ecc_blockform_eq_2_5"),
+     ("ecc_matrix_wheel_minus_edge", "ecc_minus_edge_sec_4")],
+)
+def test_closed_form_E_mutant_fails_only_its_compare_check(monkeypatch, builder, check, n):
+    """Every oracle reads the BFS matrices, so a wrong closed-form E fails one check."""
+    genuine = getattr(cf, builder)
+
+    def mutant(m):  # one entry, on the diagonal, so E stays symmetric
+        rows = [list(r) for r in genuine(m).iter_rows()]
+        rows[0][0] += 1
+        return MatrixQ(rows)
+
+    baseline = {c.name: c for c in run_checks(n).checks}
+    for mod in [m for k, m in sys.modules.items() if k.startswith("wheelecc")]:
+        if getattr(mod, builder, None) is genuine:
+            monkeypatch.setattr(mod, builder, mutant)
+    report = {c.name: c for c in run_checks(n).checks}
+    got = report.pop(check)
+    assert baseline.pop(check).status == "pass"
+    assert (got.status, got.actual) == ("fail", "differs at (0,0): expected 0, got 1")
+    assert {k: (c.status, c.actual) for k, c in report.items()} == {
+        k: (c.status, c.actual) for k, c in baseline.items()
+    }

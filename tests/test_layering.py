@@ -5,8 +5,9 @@ route derived from it.  These tests make the parts of that rule that show in
 the imports mechanical: the oracles and the graph ground truth depend on the
 scalar/matrix substrate `ratq` alone, the closed forms depend on no oracle,
 the definitional eccentricity matrices of the check registry come from
-`graphs` calls only, and the oracle-only report at n = 4 reads no closed
-form.  The modules are parsed, never imported.
+`graphs` calls only, the closed forms of E reach the registry only through
+the two checks that compare them with those, and the oracle-only report at
+n = 4 reads no closed form.  The modules are parsed, never imported.
 """
 
 import ast
@@ -75,12 +76,15 @@ def test_n4_report_reads_no_closed_form():
     assert reads == set()
 
 
-def _context_property(name: str) -> ast.FunctionDef:
-    context = next(
+def _context() -> ast.ClassDef:
+    return next(
         node for node in _tree("checks").body
         if isinstance(node, ast.ClassDef) and node.name == "VerifyContext"
     )
-    return _function(context.body, name)
+
+
+def _context_property(name: str) -> ast.FunctionDef:
+    return _function(_context().body, name)
 
 
 @pytest.mark.parametrize("name", ["E_def", "E_me_def"])
@@ -97,3 +101,30 @@ def test_definitional_E_is_built_from_graphs_alone(name):
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "self"
     }
     assert reads == {"n"}
+
+
+CLOSED_FORM_E = {
+    "ecc_matrix_wheel": "_chk_ecc_blockform",
+    "ecc_matrix_wheel_minus_edge": "_chk_ecc_minus_edge",
+}
+
+
+def test_closed_form_E_is_read_only_by_its_compare_check():
+    tree = _tree("checks")
+    imported = {
+        alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert imported.isdisjoint(CLOSED_FORM_E)
+    readers = sorted(
+        (node.attr, top.name)
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Attribute) and node.attr in CLOSED_FORM_E
+    )
+    assert readers == sorted(CLOSED_FORM_E.items())
+
+
+def test_no_context_property_builds_a_closed_form_E():
+    reads = {node.attr for node in ast.walk(_context()) if isinstance(node, ast.Attribute)}
+    assert reads.isdisjoint(CLOSED_FORM_E)
