@@ -111,9 +111,18 @@ class VerifyContext:
         return cf.inverse_formula(self.L, self.w)
 
     @cached_property
-    def E_elim(self) -> oracle.Elimination:
-        """E's det, rank and row-reduction inverse (None when singular), from one elimination."""
-        return oracle.eliminate(self.E_def)
+    def E_cong(self) -> oracle.CongruenceReport:
+        """E's inertia, det and rank, from one symmetric congruence."""
+        return oracle.inertia_exact(self.E_def)
+
+    @cached_property
+    def E_me_cong(self) -> oracle.CongruenceReport:
+        return oracle.inertia_exact(self.E_me_def)
+
+    @cached_property
+    def E_inv(self) -> MatrixQ | None:
+        """E's row-reduction inverse, computed only when its congruence reports full rank."""
+        return oracle.eliminate(self.E_def) if self.E_cong.inertia.rank == self.n else None
 
 
 Runner = Callable[[VerifyContext], tuple[str, str, bool]]
@@ -211,16 +220,16 @@ def _chk_recur_E(ctx):
 
 
 def _chk_det_E(ctx):
-    return _scalar(cf.det_E_closed(ctx.n), ctx.E_elim.det)
+    return _scalar(cf.det_E_closed(ctx.n), ctx.E_cong.det)
 
 
 def _chk_det_E_me(ctx):
-    return _scalar(cf.det_E_minus_edge_closed(ctx.n), oracle.bareiss_det(ctx.E_me_def))
+    return _scalar(cf.det_E_minus_edge_closed(ctx.n), ctx.E_me_cong.det)
 
 
 def _chk_invertible(ctx):
     expected = ctx.n % 3 != 1
-    inv = ctx.E_elim.inverse
+    inv = ctx.E_inv
     actual = inv is not None and mat_mul(ctx.E_def, inv) == identity(ctx.n)
     return _bool(expected, actual, "invertible" if actual else "singular")
 
@@ -239,11 +248,11 @@ def _inertia_pair(closed, report) -> tuple[str, str, bool]:
 
 
 def _chk_inertia_E_me(ctx):
-    return _inertia_pair(cf.inertia_E_minus_edge_closed(ctx.n), oracle.inertia_exact(ctx.E_me_def))
+    return _inertia_pair(cf.inertia_E_minus_edge_closed(ctx.n), ctx.E_me_cong)
 
 
 def _chk_inertia_E(ctx):
-    return _inertia_pair(cf.inertia_E_closed(ctx.n), oracle.inertia_exact(ctx.E_def))
+    return _inertia_pair(cf.inertia_E_closed(ctx.n), ctx.E_cong)
 
 
 def _chk_interlace(ctx):
@@ -259,7 +268,7 @@ def _chk_interlace(ctx):
 
 
 def _chk_rank_E(ctx):
-    return _scalar(cf.rank_E_closed(ctx.n), ctx.E_elim.rank)
+    return _scalar(cf.rank_E_closed(ctx.n), ctx.E_cong.inertia.rank)
 
 
 def _chk_nullvec(ctx):
@@ -355,7 +364,7 @@ def _chk_LE_identity(ctx):
 def _chk_inverse(ctx):
     n = ctx.n
     ok = mat_mul(ctx.E_def, ctx.X) == identity(n) and mat_mul(ctx.X, ctx.E_def) == identity(n)
-    ok = ok and ctx.X == ctx.E_elim.inverse
+    ok = ok and ctx.X == ctx.E_inv
     return _holds("E X = X E = I and X matches row-reduction inverse", ok)
 
 
@@ -432,7 +441,9 @@ def _chk_pinv_XE(ctx):
 
 
 def _chk_rank_cert(ctx):
-    return _bool(True, oracle.rank_certificate_check(ctx.L, ctx.E_def), "certificate")
+    x, c = cf.rank_certificate(ctx.n)
+    ok = c.cols == ctx.n - 3 and oracle.rank_certificate_check(ctx.L, ctx.E_def, x, c)
+    return _bool(True, ok, "certificate")
 
 
 # --- spectral and structural ------------------------------------------------
@@ -552,7 +563,7 @@ def _oracle_only_report(n: int) -> VerificationReport:
     No closed form applies, so report plain oracle measurements of the
     definitional (BFS) matrix.
     """
-    e = VerifyContext(n).E_def
+    ctx = VerifyContext(n)
     results = [
         CheckResult(
             "closed_forms",
@@ -563,11 +574,11 @@ def _oracle_only_report(n: int) -> VerificationReport:
         )
     ]
     measurements = (
-        ("oracle_det", lambda: rat_str(oracle.bareiss_det(e))),
-        ("oracle_inertia", lambda: str(oracle.inertia_exact(e).inertia.as_tuple())),
-        ("oracle_rank", lambda: str(oracle.rank_exact(e))),
-        ("oracle_irreducible", lambda: "true" if oracle.is_irreducible(e) else "false"),
-        ("oracle_spectral_radius", lambda: f"{oracle.power_iteration_rho(e):.9f}"),
+        ("oracle_det", lambda: rat_str(ctx.E_cong.det)),
+        ("oracle_inertia", lambda: str(ctx.E_cong.inertia.as_tuple())),
+        ("oracle_rank", lambda: str(ctx.E_cong.inertia.rank)),
+        ("oracle_irreducible", lambda: "true" if oracle.is_irreducible(ctx.E_def) else "false"),
+        ("oracle_spectral_radius", lambda: f"{oracle.power_iteration_rho(ctx.E_def):.9f}"),
     )
     for name, measure in measurements:
         results.append(_run_timed(n, name, lambda: ("oracle-only", measure(), True)))
@@ -592,6 +603,13 @@ def _run_timed(n: int, name: str, run: Callable[[], tuple[str, str, bool]]) -> C
     return CheckResult(name, status, expected, actual, ms)
 
 
+def valid_int(name: str, value: int) -> int:
+    """value, once it is an int and not a bool; ValueError naming the argument otherwise."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def valid_tol(tol: float) -> float:
     """The report tolerance, once it is finite and > 0; ValueError otherwise."""
     if not 0 < tol < math.inf:
@@ -601,7 +619,7 @@ def valid_tol(tol: float) -> float:
 
 def run_checks(n: int, tol: float = DEFAULT_REPORT_TOL) -> VerificationReport:
     """Run every applicable check at this n and collect the report."""
-    if n < 4:
+    if valid_int("n", n) < 4:
         raise ValueError(f"verification needs n >= 4, got {n}")
     valid_tol(tol)
     if n == 4:

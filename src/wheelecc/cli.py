@@ -20,7 +20,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from . import closedform as cf
-from .checks import DEFAULT_REPORT_TOL, VerificationReport, run_checks, valid_tol
+from .checks import DEFAULT_REPORT_TOL, VerificationReport, run_checks, valid_int, valid_tol
 from .ratq import MatrixQ, VectorQ
 
 MAX_N = 200  # dense exact matrices: memory and bignum growth set the limit
@@ -58,8 +58,8 @@ def _render_gen(value, fmt: str) -> str:
 
 
 def _check_max_n(n: int, max_n_override: bool, what: str = "n") -> None:
-    """The guardrail shared by all three verbs: n above MAX_N needs the override."""
-    if n > MAX_N and not max_n_override:
+    """The guardrail shared by all three verbs: n is an int, and above MAX_N needs the override."""
+    if valid_int(what, n) > MAX_N and not max_n_override:
         raise ValueError(
             f"{what} = {n} exceeds the dense-exact guardrail {MAX_N}; "
             "pass --max-n-override to proceed"
@@ -83,7 +83,7 @@ def cmd_verify(
 
 def _valid_jobs(jobs: int) -> int:
     """The worker count, once it is >= 1; ValueError otherwise."""
-    if jobs < 1:
+    if valid_int("jobs", jobs) < 1:
         raise ValueError(f"jobs must be an integer >= 1, got {jobs!r}")
     return jobs
 
@@ -104,7 +104,7 @@ def cmd_sweep(
 
     At most min(jobs, cpu count, number of n) worker processes are started.
     """
-    if n_min < 4 or n_max < n_min:
+    if valid_int("n_min", n_min) < 4 or valid_int("n_max", n_max) < n_min:
         raise ValueError(f"invalid range {n_min}..{n_max}; need 4 <= n_min <= n_max")
     _check_max_n(n_max, max_n_override, "n_max")
     _valid_jobs(jobs)

@@ -3,8 +3,9 @@
 Every function here builds a formula-level object: the block-circulant
 eccentricity matrices, determinant and inertia case formulas, the two
 Laplacian-like matrices, the inverse and Moore-Penrose inverse, the
-spectral radius and the non-EDM witness vectors.  Independent definitional
-verifiers live in `oracle`; nothing here row-reduces or eliminates.
+spectral radius, the non-EDM witness vectors and the rank certificate of
+Lemma 6.9.  Independent definitional verifiers live in `oracle`; nothing
+here row-reduces or eliminates.
 """
 
 from __future__ import annotations
@@ -297,6 +298,26 @@ def pinv_E_closed(n: int) -> MatrixQ:
             "the matrix is invertible otherwise, use inverse_E_closed"
         )
     return inverse_formula(laplacian_hat(n), weight_w(n))
+
+
+def rank_certificate(n: int) -> tuple[MatrixQ, MatrixQ]:
+    """Lemma 6.9's pair (X, C), both n x (n-3), with Lhat E X = C and rank(C) = n-3.
+
+    X is bordered cyclic over three zero rows, C is 3I over three padding rows
+    (-1, then repeated (-3,0,0), (0,-3,0) or (0,0,-3)).
+    """
+    if n % 3 != 1 or n < 10:
+        raise ResidueClassError(f"the rank certificate needs n % 3 == 1 and n >= 10, got n = {n}")
+    x_rows = [[n - 10] + [n - 7] * (n - 4)]  # X over the denominator 2
+    s = [-6, 0, 0] + [-3, 0, 0] * ((n - 7) // 3)  # 3 cir(-2,0,0,-1,0,0,...): one shift per row
+    for _ in range(n - 4):
+        x_rows.append([-1] + s)
+        s = [s[-1]] + s[:-1]
+    x_rows.extend([0] * (n - 3) for _ in range(3))
+    blocks = (n - 4) // 3
+    c_rows = [[3 if i == j else 0 for j in range(n - 3)] for i in range(n - 3)]
+    c_rows.extend([-1] + pad * blocks for pad in ([-3, 0, 0], [0, -3, 0], [0, 0, -3]))
+    return MatrixQ.from_ints(x_rows, 2), MatrixQ.from_ints(c_rows)
 
 
 def quotient_matrix(n: int) -> MatrixQ:

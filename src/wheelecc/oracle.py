@@ -1,12 +1,14 @@
 """Independent definitional verifiers for the closed-form layer.
 
-Nothing here reuses a formula from `closedform`: determinants and ranks come
-from the forward pass of one fraction-free elimination and inverses from a
-fraction-free back substitution after it, inertia from fraction-free
-symmetric congruence pivoting, the spectral radius from floating-point power
-iteration, and irreducibility from strong connectivity of the support
-digraph.  These are the second route of every dual-route check; the only
-package module imported here is `ratq` (tests/test_layering.py holds that).
+Nothing here reuses a formula from `closedform`: the inertia, determinant
+and rank of a symmetric matrix come from one fraction-free symmetric
+congruence, those of any other matrix from the forward pass of a
+fraction-free elimination, the inverse (`eliminate`) from that forward pass
+on [m | I] and a fraction-free back substitution, the spectral radius from
+floating-point power iteration, and irreducibility from strong connectivity
+of the support digraph.  These are the second route of every dual-route
+check; the only package module imported here is `ratq`
+(tests/test_layering.py holds that).
 """
 
 from __future__ import annotations
@@ -32,10 +34,11 @@ class PowerIterationError(RuntimeError):
 
 @dataclass(frozen=True)
 class CongruenceReport:
-    """Inertia plus the ordered log of congruence pivots that produced it."""
+    """Inertia, determinant and the ordered log of congruence pivots; rank is `inertia.rank`."""
 
     inertia: InertiaTriple
     pivot_log: tuple[str, ...]
+    det: Fraction
 
     def counts_consistent(self) -> bool:
         plus = self.pivot_log.count(PIVOT_POS) + self.pivot_log.count(PIVOT_HYPERBOLIC)
@@ -123,34 +126,22 @@ def rank_exact(m: MatrixQ) -> int:
     return rank
 
 
-@dataclass(frozen=True)
-class Elimination:
-    """Determinant, rank and inverse (None when singular) of one square matrix."""
+def eliminate(m: MatrixQ) -> MatrixQ | None:
+    """The package's one route to an exact inverse: None when m is singular.
 
-    det: Fraction
-    rank: int
-    inverse: MatrixQ | None
-
-
-def eliminate(m: MatrixQ) -> Elimination:
-    """One forward elimination of [m | I], read three ways.
-
-    Gives the same det and rank as `bareiss_det` and `rank_exact`, and is
-    the package's one route to an exact inverse.  Only at full rank does a
-    fraction-free back substitution follow; the inverse is
-    den * (d * A^-1) / d for the scaled matrix A = den * m and its last
-    pivot d, and it is int-backed.  A singular m gets inverse None.
+    One forward elimination of [m | I], then, at full rank only, a
+    fraction-free back substitution; the inverse is den * (d * A^-1) / d for
+    the scaled matrix A = den * m and its last pivot d, and it is int-backed.
     """
     if m.rows != m.cols:
         raise ShapeError(f"elimination needs a square matrix, got {m.rows}x{m.cols}")
     n = m.rows
-    a, den, sign, rank, pivot = _fraction_free_elimination(m, augment=True)
+    a, den, _, rank, pivot = _fraction_free_elimination(m, augment=True)
     if rank < n:
-        return Elimination(Fraction(0), rank, None)
+        return None
     g = den if pivot > 0 else -den
     adj = _back_substitution(a, n)
-    inverse = MatrixQ.from_ints(([g * x for x in row] for row in adj), abs(pivot))
-    return Elimination(Fraction(sign * pivot, den**n), rank, inverse)
+    return MatrixQ.from_ints(([g * x for x in row] for row in adj), abs(pivot))
 
 
 def inertia_exact(m: MatrixQ) -> CongruenceReport:
@@ -166,11 +157,13 @@ def inertia_exact(m: MatrixQ) -> CongruenceReport:
     the determinant of the block eliminated so far, exactly (Sylvester's
     identity): the true pivot is p / prev, and the hyperbolic block has
     determinant -b^2 / prev.  Congruence preserves inertia, so the pivot counts
-    are the eigenvalue sign counts.
+    are the eigenvalue sign counts.  The symmetric row and column swaps keep
+    the determinant too: with no zero block left, the last prev is
+    det(den * m), else det(m) is 0.
     """
     if not m.is_symmetric():
         raise ShapeError("inertia needs a symmetric matrix")
-    a, _ = int_rows(m)
+    a, den = int_rows(m)
     prev = 1
     plus = minus = 0
     log: list[str] = []
@@ -197,10 +190,7 @@ def inertia_exact(m: MatrixQ) -> CongruenceReport:
             None,
         )
         if pair is None:
-            log.extend([PIVOT_ZERO] * len(a))
-            return CongruenceReport(
-                inertia=InertiaTriple(plus, minus, len(a)), pivot_log=tuple(log)
-            )
+            break
         i, j = pair
         b = a[i][j]
         plus += 1
@@ -218,7 +208,9 @@ def inertia_exact(m: MatrixQ) -> CongruenceReport:
             for row, ci, cj in zip(a, col_i, col_j)
         ]
         prev = -bb // prev
-    return CongruenceReport(inertia=InertiaTriple(plus, minus, 0), pivot_log=tuple(log))
+    log.extend([PIVOT_ZERO] * len(a))  # the rows left are a zero block
+    det = Fraction(0) if a else Fraction(prev, den**m.rows)
+    return CongruenceReport(InertiaTriple(plus, minus, len(a)), tuple(log), det)
 
 
 def penrose_check(e: MatrixQ, x: MatrixQ) -> tuple[bool, bool, bool, bool]:
@@ -319,30 +311,9 @@ def power_iteration_rho(m: MatrixQ, tol: float = 1e-12, max_iters: int = 10000) 
     )
 
 
-def rank_certificate_check(lhat: MatrixQ, e: MatrixQ) -> bool:
-    """Verify the rank-(n-3) certificate of the singular-case Laplacian lhat.
+def rank_certificate_check(lhat: MatrixQ, e: MatrixQ, x: MatrixQ, c: MatrixQ) -> bool:
+    """Verify a rank certificate of lhat: lhat * e * x == c exactly and c has full column rank.
 
-    Assembles the n x (n-3) matrices X (bordered cyclic construction, three
-    zero rows at the bottom) and C (3I stacked over three padding rows, each
-    a leading -1 followed by repeated blocks of (-3,0,0), (0,-3,0) or
-    (0,0,-3)), then checks lhat * e * X == C exactly and rank(C) == n-3,
-    where e is the eccentricity matrix and n its order.
+    Then rank(lhat) >= rank(c) = c.cols; the pair (x, c) is given, not built here.
     """
-    n = e.rows
-    if n % 3 != 1 or n < 10:
-        raise ValueError(f"rank certificate needs n % 3 == 1 and n >= 10, got {n}")
-    x_rows = [[n - 10] + [n - 7] * (n - 4)]  # X over the denominator 2
-    s = [-6, 0, 0] + [-3, 0, 0] * ((n - 7) // 3)  # 3 cir(-2,0,0,-1,0,0,...): one shift per row
-    for _ in range(n - 4):
-        x_rows.append([-1] + s)
-        s = [s[-1]] + s[:-1]
-    x_rows.extend([0] * (n - 3) for _ in range(3))
-    x = MatrixQ.from_ints(x_rows, 2)
-
-    blocks = (n - 4) // 3
-    c_rows = [[3 if i == j else 0 for j in range(n - 3)] for i in range(n - 3)]
-    c_rows.extend([-1] + pad * blocks for pad in ([-3, 0, 0], [0, -3, 0], [0, 0, -3]))
-    c = MatrixQ.from_ints(c_rows)
-
-    lhs = mat_mul(mat_mul(lhat, e), x)
-    return lhs == c and rank_exact(c) == n - 3
+    return mat_mul(mat_mul(lhat, e), x) == c and rank_exact(c) == c.cols

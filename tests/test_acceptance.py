@@ -33,6 +33,7 @@ from wheelecc.closedform import (
     m_circulant,
     p_circulant,
     pinv_E_closed,
+    rank_certificate,
     rank_E_closed,
     spectral_radius_closed,
     weight_w,
@@ -214,7 +215,8 @@ def test_criterion_10_edm_witnesses():
 
 def test_criterion_11_rank_certificate():
     for n in (10, 13, 16, 19):
-        assert rank_certificate_check(laplacian_hat(n), ecc_matrix_wheel(n)), f"n={n}"
+        x, c = rank_certificate(n)
+        assert rank_certificate_check(laplacian_hat(n), ecc_matrix_wheel(n), x, c), f"n={n}"
     _passed("11 rank certificate", "Lhat E X = C with rank(C) = n-3 for n = 10, 13, 16, 19")
 
 

@@ -11,7 +11,7 @@ from collections import Counter
 
 import pytest
 
-from wheelecc import checks, cli, oracle
+from wheelecc import checks, cli, graphs, oracle
 from wheelecc import closedform as cf
 from wheelecc.checks import Check, CheckResult, run_checks
 from wheelecc.cli import cmd_gen, cmd_sweep, cmd_verify, main
@@ -401,6 +401,28 @@ def test_library_sweep_rejects_the_jobs_the_cli_rejects(jobs):
         cmd_sweep(5, 6, jobs=jobs)
 
 
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: run_checks(7.0), "n"),
+        (lambda: run_checks(True), "n"),
+        (lambda: cmd_verify(7.0), "n"),
+        (lambda: cmd_gen("E", 7.0), "n"),
+        (lambda: cmd_gen("w", "7"), "n"),
+        (lambda: cmd_sweep(5.0, 6), "n_min"),
+        (lambda: cmd_sweep(5, 6.0), "n_max"),
+        (lambda: cmd_sweep(5, 6, jobs=1.5), "jobs"),
+        (lambda: cmd_sweep(5, 6, jobs=True), "jobs"),
+    ],
+    ids=["run_checks-float", "run_checks-bool", "verify-float", "gen-float", "gen-str",
+         "sweep-n_min", "sweep-n_max", "sweep-jobs-float", "sweep-jobs-bool"],
+)
+def test_library_entries_take_only_int_orders_and_job_counts(call, name):
+    """The CLI's argparse `int` holds these; the library holds them to one rule, not a bool."""
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+        call()
+
+
 class _RecordingPool:
     """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
 
@@ -534,13 +556,14 @@ def test_raising_check_becomes_error_result(monkeypatch, capsys):
 
 def test_raising_oracle_measurement_at_n4_becomes_error_result(monkeypatch):
     def boom(m):
-        raise ArithmeticError("no determinant")
+        raise ArithmeticError("no congruence")
 
-    monkeypatch.setattr(oracle, "bareiss_det", boom)
+    monkeypatch.setattr(oracle, "inertia_exact", boom)
     report = run_checks(4)
     statuses = {c.name: (c.status, c.actual) for c in report.checks}
-    assert statuses["oracle_det"] == ("error", "ArithmeticError: no determinant")
-    assert statuses["oracle_rank"] == ("pass", "4")
+    for name in ("oracle_det", "oracle_inertia", "oracle_rank"):  # one congruence, three reads
+        assert statuses[name] == ("error", "ArithmeticError: no congruence")
+    assert statuses["oracle_irreducible"] == ("pass", "true")
     assert not report.ok
 
 
@@ -607,6 +630,60 @@ def test_shape_mismatch_inside_a_check_is_reported_as_fail(monkeypatch):
     assert baseline.pop("ecc_minus_edge_sec_4") == "pass"
     assert (got.status, got.actual) == ("fail", "shape mismatch: expected 7x7, got 8x8")
     assert {k: c.status for k, c in report.items()} == baseline
+
+
+@pytest.mark.parametrize("n", [12, 13, 14])
+def test_each_bfs_matrix_is_reduced_once_per_verify(monkeypatch, n):
+    """One congruence per BFS matrix; E's inverse only where that congruence reports full rank."""
+    wheel = graphs.build_wheel(n)
+    bfs = {
+        "E": graphs.eccentricity_matrix_definitional(graphs.bfs_distances(wheel)),
+        "E_me": graphs.eccentricity_matrix_definitional(
+            graphs.bfs_distances(graphs.delete_cycle_edge(wheel))
+        ),
+    }
+    calls = Counter()
+
+    def counting(name):
+        genuine = getattr(oracle, name)
+
+        def counted(m):
+            matrix = next((k for k, b in bfs.items() if m == b), None)
+            if matrix is not None:
+                calls[name, matrix] += 1
+            return genuine(m)
+
+        return counted
+
+    for name in ("bareiss_det", "rank_exact", "eliminate", "inertia_exact"):
+        monkeypatch.setattr(oracle, name, counting(name))
+    assert run_checks(n).ok
+    expected = {("inertia_exact", "E"): 1, ("inertia_exact", "E_me"): 1}
+    if n % 3 != 1:
+        expected["eliminate", "E"] = 1
+    assert dict(calls) == expected
+
+
+@pytest.mark.parametrize("n", [13, 16])
+def test_rank_certificate_mutant_fails_only_its_check(monkeypatch, n):
+    """The certificate's X comes from `closedform`, so a wrong entry of it fails one check."""
+    genuine = cf.rank_certificate
+
+    def mutant(m):
+        x, c = genuine(m)
+        rows = [list(r) for r in x.iter_rows()]
+        rows[0][0] += 1
+        return MatrixQ(rows), c
+
+    baseline = {c.name: c for c in run_checks(n).checks}
+    monkeypatch.setattr(cf, "rank_certificate", mutant)
+    report = {c.name: c for c in run_checks(n).checks}
+    got = report.pop("rank_cert_lem_6_9")
+    assert baseline.pop("rank_cert_lem_6_9").status == "pass"
+    assert (got.status, got.actual) == ("fail", "false (certificate)")
+    assert {k: (c.status, c.actual) for k, c in report.items()} == {
+        k: (c.status, c.actual) for k, c in baseline.items()
+    }
 
 
 @pytest.mark.parametrize("n", [12, 13, 14])

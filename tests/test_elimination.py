@@ -1,11 +1,11 @@
 """Differential tests: the fraction-free elimination core against slower exact routes.
 
 `bareiss_det` and `rank_exact` read their answer off the forward pass of one
-integer elimination, and `eliminate` reads det, rank and inverse (None when
-singular) off the forward pass of [m | I] and, at full rank, a fraction-free
-back substitution.  Each is compared with the Fraction row reductions and
-the Gauss-Jordan determinant, rank and elimination of [m | I] kept in
-`helpers` and, where sympy is installed, with sympy.
+integer elimination, and `eliminate` gives the inverse (None when singular)
+from the forward pass of [m | I] and, at full rank, a fraction-free back
+substitution.  Each is compared with the Fraction row reductions and the
+Gauss-Jordan determinant, rank and elimination of [m | I] kept in `helpers`
+and, where sympy is installed, with sympy.
 """
 
 import random
@@ -23,12 +23,7 @@ from helpers import (
     ref_rank_exact,
 )
 from wheelecc.closedform import ecc_matrix_wheel, laplacian_hat, laplacian_tilde
-from wheelecc.oracle import (
-    Elimination,
-    bareiss_det,
-    eliminate,
-    rank_exact,
-)
+from wheelecc.oracle import bareiss_det, eliminate, rank_exact
 from wheelecc.ratq import MatrixQ, ShapeError, mat_mul
 
 DENOMINATORS = (1, 2, 3, 4, 6, 7, 12)
@@ -70,7 +65,7 @@ def _assert_routes_agree(m: MatrixQ) -> None:
             eliminate(m)
         return
     assert bareiss_det(m) == ref_bareiss_det(m)
-    assert eliminate(m).inverse == ref_inverse_exact(m)
+    assert eliminate(m) == ref_inverse_exact(m)
 
 
 def test_core_matches_fraction_routes_random():
@@ -95,9 +90,9 @@ def test_forward_pass_matches_gauss_jordan_random():
         assert rank_exact(m) == ref_gauss_jordan_rank(m)
         if m.rows == m.cols:
             assert bareiss_det(m) == ref_gauss_jordan_det(m)
-            elim = eliminate(m)
-            assert elim == Elimination(ref_bareiss_det(m), ref_rank_exact(m), ref_inverse_exact(m))
-            assert (elim.det, elim.rank, elim.inverse) == ref_gauss_jordan_eliminate(m)
+            inverse = eliminate(m)
+            assert inverse == ref_inverse_exact(m)
+            assert inverse == ref_gauss_jordan_eliminate(m)[2]
         else:
             with pytest.raises(ShapeError):
                 eliminate(m)
@@ -120,13 +115,13 @@ def test_core_row_swaps_and_skipped_columns():
     # an all-zero first column is skipped, not a rank loss beyond it
     m = MatrixQ([[0, 1, 2], [0, 2, 4], [0, 1, 3]])
     assert rank_exact(m) == 2 and bareiss_det(m) == 0
-    assert eliminate(m).inverse is None
+    assert eliminate(m) is None
     # mixed denominators cancel against the lcm scaling
     m = MatrixQ([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 4), Fraction(1, 6)]])
     assert rank_exact(m) == 1 and bareiss_det(m) == 0
     m = MatrixQ([[0, Fraction(1, 2)], [Fraction(2, 3), 0]])
     assert bareiss_det(m) == Fraction(-1, 3)
-    assert eliminate(m).inverse == MatrixQ([[0, Fraction(3, 2)], [2, 0]])
+    assert eliminate(m) == MatrixQ([[0, Fraction(3, 2)], [2, 0]])
 
 
 def _wheel_matrices(n: int):
@@ -141,20 +136,18 @@ def test_core_matches_fraction_routes_on_wheel_matrices(n):
         assert rank_exact(m) == rank
         assert bareiss_det(m) == ref_bareiss_det(m)
         if rank < n:
-            assert eliminate(m).inverse is None
+            assert eliminate(m) is None
         else:
-            assert eliminate(m).inverse == ref_inverse_exact(m)
+            assert eliminate(m) == ref_inverse_exact(m)
 
 
 @pytest.mark.parametrize("n", range(5, 41))
 def test_eliminate_matches_separate_oracle_calls_on_E(n):
     e = ecc_matrix_wheel(n)
-    elim = eliminate(e)
-    assert elim.det == bareiss_det(e)
-    assert elim.rank == rank_exact(e)
-    assert elim.inverse == ref_inverse_exact(e)
-    assert (elim.inverse is None) == (n % 3 == 1)
-    assert (elim.det, elim.rank, elim.inverse) == ref_gauss_jordan_eliminate(e)
+    inverse = eliminate(e)
+    assert inverse == ref_inverse_exact(e)
+    assert (inverse is None) == (n % 3 == 1)
+    assert inverse == ref_gauss_jordan_eliminate(e)[2]
 
 
 def _from_sympy(x) -> Fraction:
@@ -173,7 +166,7 @@ def test_core_matches_sympy_on_wheel_matrices(n):
         assert rank_exact(m) == s.rank()
         det = _from_sympy(s.det())
         assert bareiss_det(m) == det
-        inv = eliminate(m).inverse
+        inv = eliminate(m)
         assert (inv is None) == (det == 0)
         if inv is not None:
             assert inv == MatrixQ([[_from_sympy(x) for x in row] for row in s.inv().to_list()])

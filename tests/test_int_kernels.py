@@ -32,7 +32,7 @@ from wheelecc.graphs import (
     delete_cycle_edge,
     eccentricity_matrix_definitional,
 )
-from wheelecc.oracle import PIVOT_HYPERBOLIC, PIVOT_ZERO, inertia_exact
+from wheelecc.oracle import PIVOT_HYPERBOLIC, PIVOT_ZERO, bareiss_det, inertia_exact, rank_exact
 from wheelecc.ratq import MatrixQ, ShapeError, VectorQ, int_entries, int_rows, mat_mul, rat_str
 
 DENOMINATORS = (1, 2, 3, 4, 6, 7, 12)
@@ -218,8 +218,11 @@ def _random_symmetric(rng: random.Random, t: int) -> MatrixQ:
 
 
 def _report(m: MatrixQ):
+    """Inertia and pivot log, once the same congruence's det and rank match the forward pass."""
     r = inertia_exact(m)
     assert r.counts_consistent()
+    assert r.det == bareiss_det(m)
+    assert r.inertia.rank == rank_exact(m)
     return r.inertia.as_tuple(), r.pivot_log
 
 

@@ -6,8 +6,9 @@ the imports mechanical: the oracles and the graph ground truth depend on the
 scalar/matrix substrate `ratq` alone, the closed forms depend on no oracle,
 the definitional eccentricity matrices of the check registry come from
 `graphs` calls only, the closed forms of E reach the registry only through
-the two checks that compare them with those, and the oracle-only report at
-n = 4 reads no closed form.  The modules are parsed, never imported.
+the two checks that compare them with those, the oracle-only report at
+n = 4 reads no closed form, and only `VerifyContext` properties run an
+elimination on a BFS matrix.  The modules are parsed, never imported.
 """
 
 import ast
@@ -128,3 +129,57 @@ def test_closed_form_E_is_read_only_by_its_compare_check():
 def test_no_context_property_builds_a_closed_form_E():
     reads = {node.attr for node in ast.walk(_context()) if isinstance(node, ast.Attribute)}
     assert reads.isdisjoint(CLOSED_FORM_E)
+
+
+ELIMINATIONS = {"bareiss_det", "rank_exact", "eliminate", "inertia_exact"}
+BFS_MATRICES = {"E_def", "E_me_def"}
+
+
+def _eliminations_of_bfs(scope: ast.AST) -> list[tuple[str, str]]:
+    """(oracle, BFS matrix) for each elimination in scope whose arguments read one.
+
+    A local name assigned from an expression that reads a BFS matrix counts
+    as that matrix.
+    """
+    def reads(expr, aliases):
+        for node in ast.walk(expr):
+            if isinstance(node, ast.Attribute) and node.attr in BFS_MATRICES:
+                yield node.attr
+            elif isinstance(node, ast.Name) and node.id in aliases:
+                yield aliases[node.id]
+
+    aliases = {
+        target.id: matrix
+        for node in ast.walk(scope) if isinstance(node, ast.Assign)
+        for matrix in reads(node.value, {})
+        for target in node.targets if isinstance(target, ast.Name)
+    }
+    return sorted(
+        (node.func.attr, matrix)
+        for node in ast.walk(scope)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ELIMINATIONS
+        for arg in node.args
+        for matrix in reads(arg, aliases)
+    )
+
+
+def test_only_context_properties_reduce_a_bfs_matrix():
+    context = _context()
+    outside = [
+        (top.name, found)
+        for top in _tree("checks").body if getattr(top, "name", None) != context.name
+        for found in _eliminations_of_bfs(top)
+    ]
+    assert outside == []
+    assert _eliminations_of_bfs(context) == [
+        ("eliminate", "E_def"), ("inertia_exact", "E_def"), ("inertia_exact", "E_me_def"),
+    ]
+
+
+def test_bfs_elimination_finder_sees_calls_and_aliases():
+    tree = ast.parse(
+        "def f(ctx):\n    e = ctx.E_def\n    oracle.bareiss_det(e)\n"
+        "    oracle.rank_exact(ctx.E_me_def)\n    oracle.rank_exact(ctx.L)\n"
+    )
+    assert _eliminations_of_bfs(tree) == [("bareiss_det", "E_def"), ("rank_exact", "E_me_def")]
