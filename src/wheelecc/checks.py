@@ -11,11 +11,10 @@ from __future__ import annotations
 import math
 import sys
 import time
-import traceback
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import closedform as cf
 from . import graphs
@@ -39,8 +38,7 @@ DEFAULT_REPORT_TOL = 1e-8
 LITERAL_POWER_MAX_N = 12  # (I + E)^(n-1) entries grow quickly; cross-check small n only
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     status: str  # "pass" | "fail" | "skip" | "error" (the check raised)
     expected: str
@@ -48,8 +46,7 @@ class CheckResult:
     wall_time_ms: float
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     n: int
     checks: tuple[CheckResult, ...]
 
@@ -109,6 +106,16 @@ class VerifyContext:
     def X(self) -> MatrixQ:
         """-(1/2) L + (6/(n-1)) w w': E's inverse, or its pseudoinverse when n % 3 == 1."""
         return cf.inverse_formula(self.L, self.w)
+
+    @cached_property
+    def LE(self) -> MatrixQ:
+        """L E: identity_LE_5_1 and lemma_LhatE compare it; Lemma 6.9's certificate extends it."""
+        return mat_mul(self.L, self.E_def)
+
+    @cached_property
+    def XE(self) -> MatrixQ:
+        """X E: compared with I or with its closed structure, and one of the Penrose products."""
+        return mat_mul(self.X, self.E_def)
 
     @cached_property
     def E_cong(self) -> oracle.CongruenceReport:
@@ -355,7 +362,7 @@ def _chk_Ew(ctx):
 
 def _chk_LE_identity(ctx):
     n = ctx.n
-    lhs = mat_mul(ctx.L, ctx.E_def) + identity(n).scaled(2)
+    lhs = ctx.LE + identity(n).scaled(2)
     w, dw = int_entries(ctx.w)
     rhs = MatrixQ.from_ints(([2 * x] * n for x in w), dw)
     return _mat_eq(rhs, lhs)
@@ -363,7 +370,7 @@ def _chk_LE_identity(ctx):
 
 def _chk_inverse(ctx):
     n = ctx.n
-    ok = mat_mul(ctx.E_def, ctx.X) == identity(n) and mat_mul(ctx.X, ctx.E_def) == identity(n)
+    ok = mat_mul(ctx.E_def, ctx.X) == identity(n) and ctx.XE == identity(n)
     ok = ok and ctx.X == ctx.E_inv
     return _holds("E X = X E = I and X matches row-reduction inverse", ok)
 
@@ -406,7 +413,6 @@ def _chk_PU(ctx):
 
 def _chk_LhatE(ctx):
     n = ctx.n
-    lhs = mat_mul(ctx.L, ctx.E_def)
     vp = VectorQ(
         [Fraction(17 - 5 * n, n - 1)]
         + [Fraction(n - 7, n - 1), Fraction(n - 7, n - 1), Fraction(n + 11, n - 1)]
@@ -417,11 +423,11 @@ def _chk_LhatE(ctx):
     block = to_dense(CirculantQ(vp.scaled(Fraction(1, 3))))
     for i in range(n - 1):
         rows.append([Fraction(1, 3)] + list(block.row(i)))
-    return _mat_eq(MatrixQ(rows), lhs)
+    return _mat_eq(MatrixQ(rows), ctx.LE)
 
 
 def _chk_pinv(ctx):
-    conds = oracle.penrose_check(ctx.E_def, ctx.X)
+    conds = oracle.penrose_check(ctx.E_def, ctx.X, ctx.XE)
     return (
         "all four Moore-Penrose conditions",
         "/".join("ok" if c else "FAIL" for c in conds),
@@ -431,18 +437,17 @@ def _chk_pinv(ctx):
 
 def _chk_pinv_XE(ctx):
     n = ctx.n
-    lhs = mat_mul(ctx.X, ctx.E_def)
     v, dv = int_rows(to_dense(CirculantQ(VectorQ([2, -1, -1] * ((n - 1) // 3)))))
     # I - blockdiag(0, V / (n-1)), over the denominator d
     d = dv * (n - 1)
     rows = [[d] + [0] * (n - 1)]
     rows.extend([0] + [(d if i == j else 0) - x for j, x in enumerate(r)] for i, r in enumerate(v))
-    return _mat_eq(MatrixQ.from_ints(rows, d), lhs)
+    return _mat_eq(MatrixQ.from_ints(rows, d), ctx.XE)
 
 
 def _chk_rank_cert(ctx):
     x, c = cf.rank_certificate(ctx.n)
-    ok = c.cols == ctx.n - 3 and oracle.rank_certificate_check(ctx.L, ctx.E_def, x, c)
+    ok = c.cols == ctx.n - 3 and oracle.rank_certificate_check(ctx.LE, x, c)
     return _bool(True, ok, "certificate")
 
 
@@ -596,6 +601,8 @@ def _run_timed(n: int, name: str, run: Callable[[], tuple[str, str, bool]]) -> C
         expected, actual, ok = run()
         status = "pass" if ok else "fail"
     except Exception as exc:
+        import traceback  # only a raising check needs it; kept off the import path
+
         print(f"check {name} raised at n = {n}:", file=sys.stderr)
         traceback.print_exc()
         expected, actual, status = "", f"{type(exc).__name__}: {exc}", "error"

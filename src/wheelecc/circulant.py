@@ -8,9 +8,9 @@ inverse-formula and pseudoinverse-formula Laplacian-like matrices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
+from typing import NamedTuple
 
 from .ratq import MatrixQ, ShapeError, VectorQ, int_entries, rat
 
@@ -19,8 +19,7 @@ class ResidueClassError(ValueError):
     """A construction was requested outside its valid residue class of n mod 3."""
 
 
-@dataclass(frozen=True)
-class CirculantQ:
+class CirculantQ(NamedTuple):
     """Circulant matrix represented by its defining first row."""
 
     first_row: VectorQ

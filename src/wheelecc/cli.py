@@ -17,7 +17,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from . import closedform as cf
 from .checks import DEFAULT_REPORT_TOL, VerificationReport, run_checks, valid_int, valid_tol
@@ -112,6 +111,10 @@ def cmd_sweep(
     work = [(n, tol) for n in range(n_min, n_max + 1)]
     workers = min(jobs, os.cpu_count() or 1, len(work))
     if workers > 1:
+        # imported here: it loads multiprocessing, pickle and more, which a
+        # serial sweep (the default, --jobs 1) never needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(_sweep_worker, work))
     else:

@@ -11,8 +11,8 @@ here row-reduces or eliminates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .circulant import (
     CirculantQ,
@@ -36,8 +36,7 @@ from .ratq import (
 )
 
 
-@dataclass(frozen=True)
-class SpectralRadiusResult:
+class SpectralRadiusResult(NamedTuple):
     """Spectral radius (n-4) + sqrt(n^2 - 7n + 15), kept symbolic plus a float.
 
     The value is irrational for n >= 5, so the exact layer stores the integer

@@ -9,8 +9,8 @@ vertex i+1 of the usual labelling (hub first, then the cycle in order).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .ratq import MatrixQ, VectorQ, int_rows
 
@@ -19,8 +19,7 @@ class GraphError(ValueError):
     """Invalid graph input (wrong order, not a wheel, disconnected, ...)."""
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(NamedTuple):
     """Undirected graph as sorted neighbor tuples; no self-loops."""
 
     vertex_count: int

@@ -13,8 +13,8 @@ check; the only package module imported here is `ratq`
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .ratq import InertiaTriple, MatrixQ, ShapeError, identity, int_rows, mat_mul
 
@@ -32,8 +32,7 @@ class PowerIterationError(RuntimeError):
         self.last = last
 
 
-@dataclass(frozen=True)
-class CongruenceReport:
+class CongruenceReport(NamedTuple):
     """Inertia, determinant and the ordered log of congruence pivots; rank is `inertia.rank`."""
 
     inertia: InertiaTriple
@@ -213,14 +212,20 @@ def inertia_exact(m: MatrixQ) -> CongruenceReport:
     return CongruenceReport(InertiaTriple(plus, minus, len(a)), tuple(log), det)
 
 
-def penrose_check(e: MatrixQ, x: MatrixQ) -> tuple[bool, bool, bool, bool]:
-    """Exact evaluation of the four Moore-Penrose conditions for the pair (e, x)."""
+def penrose_check(
+    e: MatrixQ, x: MatrixQ, xe: MatrixQ | None = None
+) -> tuple[bool, bool, bool, bool]:
+    """Exact evaluation of the four Moore-Penrose conditions for the pair (e, x).
+
+    xe is the product x e when the caller already holds it; it is formed here otherwise.
+    """
     if e.cols != x.rows or x.cols != e.rows:
         raise ShapeError(
             f"shape mismatch: {e.rows}x{e.cols} against candidate {x.rows}x{x.cols}"
         )
     ex = mat_mul(e, x)
-    xe = mat_mul(x, e)
+    if xe is None:
+        xe = mat_mul(x, e)
     return (
         mat_mul(ex, e) == e,
         mat_mul(xe, x) == x,
@@ -311,9 +316,9 @@ def power_iteration_rho(m: MatrixQ, tol: float = 1e-12, max_iters: int = 10000) 
     )
 
 
-def rank_certificate_check(lhat: MatrixQ, e: MatrixQ, x: MatrixQ, c: MatrixQ) -> bool:
-    """Verify a rank certificate of lhat: lhat * e * x == c exactly and c has full column rank.
+def rank_certificate_check(le: MatrixQ, x: MatrixQ, c: MatrixQ) -> bool:
+    """Verify a rank certificate of lhat, given le = lhat * e: le * x == c, of full column rank.
 
     Then rank(lhat) >= rank(c) = c.cols; the pair (x, c) is given, not built here.
     """
-    return mat_mul(mat_mul(lhat, e), x) == c and rank_exact(c) == c.cols
+    return mat_mul(le, x) == c and rank_exact(c) == c.cols

@@ -13,18 +13,16 @@ congruence oracle both return it, and neither imports the other.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, mul, sub
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 
 class ShapeError(ValueError):
     """Dimension mismatch between operands."""
 
 
-@dataclass(frozen=True)
-class InertiaTriple:
+class InertiaTriple(NamedTuple):
     """Counts of positive, negative and zero eigenvalues of a symmetric matrix."""
 
     n_plus: int

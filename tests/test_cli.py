@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -203,6 +204,34 @@ def test_sweep_jobs_byte_identical():
     four = subprocess.run(cmd + ["--jobs", "4"], capture_output=True, check=True)
     assert one.stdout == four.stdout
     assert one.stdout  # non-empty
+
+
+# Loaded only by `sweep --jobs N>1` (the process pool) or by a check that raises.
+DEFERRED_MODULES = {"traceback", "socket", "pickle", "subprocess", "logging"}
+DEFERRED_PACKAGES = ("concurrent", "multiprocessing")
+
+
+def test_serial_cli_run_loads_no_process_pool_machinery():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    probe = (
+        "import json, sys\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "before = set(sys.modules)\n"
+        "import wheelecc.cli\n"
+        "imported = set(sys.modules)\n"
+        "wheelecc.cli.main(['sweep', '5', '6', '--format', 'json'])\n"
+        "print(json.dumps([sorted(imported - before), sorted(set(sys.modules) - imported)]))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-I", "-c", probe], capture_output=True, text=True, check=True
+    )
+    on_import, on_sweep = json.loads(done.stdout.splitlines()[-1])
+    assert "wheelecc.cli" in on_import
+    for added in (on_import, on_sweep):
+        deferred = [
+            m for m in added if m in DEFERRED_MODULES or m.split(".")[0] in DEFERRED_PACKAGES
+        ]
+        assert deferred == []
 
 
 def test_repeated_invocations_byte_identical(capsys):
@@ -447,7 +476,7 @@ class _RecordingPool:
 )
 def test_jobs_capped_at_cpus_and_work(monkeypatch, cpus, jobs, expected):
     monkeypatch.setattr(_RecordingPool, "started", [])
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     reports = cmd_sweep(5, 7, jobs=jobs)
     assert _RecordingPool.started == expected
@@ -517,6 +546,23 @@ def test_each_closed_form_is_built_once_per_n(monkeypatch, n):
     assert calls == {"ecc_matrix_wheel": 1, lap: 1}
 
 
+@pytest.mark.parametrize("n", range(12, 18))
+def test_each_dense_product_is_formed_once_per_n(monkeypatch, n):
+    genuine = checks.mat_mul
+    operands = []  # holding every operand keeps its id from being reused
+
+    def recorded(a, b):
+        operands.append((a, b))
+        return genuine(a, b)
+
+    for mod in [m for k, m in sys.modules.items() if k.startswith("wheelecc")]:
+        if getattr(mod, "mat_mul", None) is genuine:
+            monkeypatch.setattr(mod, "mat_mul", recorded)
+    assert run_checks(n).ok
+    repeated = [pair for pair, k in Counter((id(a), id(b)) for a, b in operands).items() if k > 1]
+    assert operands and repeated == []
+
+
 def _raise_in(monkeypatch, name):
     """Make the runner of the named check raise ZeroDivisionError("boom at n = <n>")."""
 
@@ -569,7 +615,7 @@ def test_raising_oracle_measurement_at_n4_becomes_error_result(monkeypatch):
 
 def test_raising_check_under_jobs_is_reported(monkeypatch, capsys):
     monkeypatch.setattr(_RecordingPool, "started", [])
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     _raise_in(monkeypatch, "inertia_thm_4_6")
     code, out, err = run_main(capsys, ["sweep", "5", "7", "--jobs", "3", "--format", "json"])

@@ -10,6 +10,7 @@ and, where sympy is installed, with sympy.
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -124,6 +125,11 @@ def test_core_row_swaps_and_skipped_columns():
     assert eliminate(m) == MatrixQ([[0, Fraction(3, 2)], [2, 0]])
 
 
+# The Fraction Gauss-Jordan inverse of a wheel matrix, built once per matrix
+# for the two wheel-matrix tests below (about 2 s per pass over n = 5..40).
+_ref_inverse_once = lru_cache(maxsize=None)(ref_inverse_exact)
+
+
 def _wheel_matrices(n: int):
     yield ecc_matrix_wheel(n)
     yield laplacian_tilde(n) if n % 3 != 1 else laplacian_hat(n)
@@ -138,14 +144,14 @@ def test_core_matches_fraction_routes_on_wheel_matrices(n):
         if rank < n:
             assert eliminate(m) is None
         else:
-            assert eliminate(m) == ref_inverse_exact(m)
+            assert eliminate(m) == _ref_inverse_once(m)
 
 
 @pytest.mark.parametrize("n", range(5, 41))
 def test_eliminate_matches_separate_oracle_calls_on_E(n):
     e = ecc_matrix_wheel(n)
     inverse = eliminate(e)
-    assert inverse == ref_inverse_exact(e)
+    assert inverse == _ref_inverse_once(e)
     assert (inverse is None) == (n % 3 == 1)
     assert inverse == ref_gauss_jordan_eliminate(e)[2]
 

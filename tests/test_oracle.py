@@ -243,6 +243,15 @@ def test_power_iteration_wheel_20():
     assert abs(rho - spectral_radius_closed(20).rho_float) < 1e-8
 
 
+@pytest.mark.parametrize("n", [7, 20])
+@pytest.mark.parametrize("c", [F(1, 2), F(1, 3)])
+def test_power_iteration_scales_with_the_matrix(n, c):
+    # c E is stored over the denominator 1/c, so this reads the int view's den
+    e = ecc_matrix_wheel(n)
+    rho = power_iteration_rho(e, tol=1e-12)
+    assert power_iteration_rho(e.scaled(c), tol=1e-12) == pytest.approx(float(c) * rho, rel=1e-12)
+
+
 def test_power_iteration_non_convergence_reports_last():
     # eigenvalues +-sqrt(2) have equal modulus: the iteration cycles
     cycler = MatrixQ([[0, 2], [1, 0]])
@@ -255,8 +264,9 @@ def test_power_iteration_non_convergence_reports_last():
 
 
 def test_rank_certificate_10_and_13():
-    assert rank_certificate_check(laplacian_hat(10), ecc_matrix_wheel(10), *rank_certificate(10))
-    assert rank_certificate_check(laplacian_hat(13), ecc_matrix_wheel(13), *rank_certificate(13))
+    for n in (10, 13):
+        le = mat_mul(laplacian_hat(n), ecc_matrix_wheel(n))
+        assert rank_certificate_check(le, *rank_certificate(n))
 
 
 def test_rank_certificate_rejects_out_of_domain():
