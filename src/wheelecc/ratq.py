@@ -7,7 +7,9 @@ Python ints over one positive denominator, or both (see `MatrixQ`).  Values
 are immutable (tuple storage); a matrix only caches its other
 representation the first time it is needed, so values are safe to share
 across threads.  `InertiaTriple` lives here too: the closed forms and the
-congruence oracle both return it, and neither imports the other.
+congruence oracle both return it, and neither imports the other.  So do the
+argument rules that the checks and the CLI share (`valid_int`, `valid_tol`,
+`DEFAULT_REPORT_TOL`), so that `gen` needs no check registry to parse.
 """
 
 from __future__ import annotations
@@ -16,6 +18,22 @@ import math
 from fractions import Fraction
 from operator import add, mul, sub
 from typing import Iterable, NamedTuple, Sequence
+
+DEFAULT_REPORT_TOL = 1e-8
+
+
+def valid_int(name: str, value: int) -> int:
+    """value, once it is an int and not a bool; ValueError naming the argument otherwise."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def valid_tol(tol: float) -> float:
+    """The report tolerance, once it is finite and > 0; ValueError otherwise."""
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be a finite number > 0, got {tol!r}")
+    return tol
 
 
 class ShapeError(ValueError):

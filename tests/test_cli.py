@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from wheelecc import checks, cli, graphs, oracle
+from wheelecc import checks, cli, graphs, oracle, ratq
 from wheelecc import closedform as cf
 from wheelecc.checks import Check, CheckResult, run_checks
 from wheelecc.cli import cmd_gen, cmd_sweep, cmd_verify, main
@@ -211,27 +211,49 @@ DEFERRED_MODULES = {"traceback", "socket", "pickle", "subprocess", "logging"}
 DEFERRED_PACKAGES = ("concurrent", "multiprocessing")
 
 
-def test_serial_cli_run_loads_no_process_pool_machinery():
+# Loaded only by verify and sweep: the check registry and what only it imports.
+REGISTRY_MODULES = {"wheelecc.checks", "wheelecc.graphs", "dataclasses", "inspect"}
+
+
+def _modules_loaded(*argvs: list[str]) -> list[list[str]]:
+    """The modules that importing `wheelecc.cli` adds in a fresh `python -I` child, then
+    the modules that each `main(argv)` adds in turn."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     probe = (
         "import json, sys\n"
         f"sys.path.insert(0, {src!r})\n"
-        "before = set(sys.modules)\n"
+        "seen = set(sys.modules)\n"
         "import wheelecc.cli\n"
-        "imported = set(sys.modules)\n"
-        "wheelecc.cli.main(['sweep', '5', '6', '--format', 'json'])\n"
-        "print(json.dumps([sorted(imported - before), sorted(set(sys.modules) - imported)]))\n"
+        "added = [sorted(set(sys.modules) - seen)]\n"
+        f"for argv in {list(argvs)!r}:\n"
+        "    seen = set(sys.modules)\n"
+        "    wheelecc.cli.main(argv)\n"
+        "    added.append(sorted(set(sys.modules) - seen))\n"
+        "print(json.dumps(added))\n"
     )
     done = subprocess.run(
         [sys.executable, "-I", "-c", probe], capture_output=True, text=True, check=True
     )
-    on_import, on_sweep = json.loads(done.stdout.splitlines()[-1])
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_serial_cli_run_loads_no_process_pool_machinery():
+    on_import, on_sweep = _modules_loaded(["sweep", "5", "6", "--format", "json"])
     assert "wheelecc.cli" in on_import
     for added in (on_import, on_sweep):
         deferred = [
             m for m in added if m in DEFERRED_MODULES or m.split(".")[0] in DEFERRED_PACKAGES
         ]
         assert deferred == []
+
+
+def test_gen_loads_no_check_registry():
+    *on_gen, on_verify = _modules_loaded(
+        *(["gen", "E", "7", "--format", fmt] for fmt in ("json", "csv", "pretty")), ["verify", "5"]
+    )
+    assert "wheelecc.cli" in on_gen[0]
+    assert [sorted(REGISTRY_MODULES.intersection(added)) for added in on_gen] == [[]] * 4
+    assert "wheelecc.checks" in on_verify  # so the probe can see the registry load
 
 
 def test_repeated_invocations_byte_identical(capsys):
@@ -381,7 +403,7 @@ def test_n_guardrail_applies_to_every_verb(monkeypatch, capsys, argv):
         built.append(n)
         return VectorQ([n])
 
-    monkeypatch.setattr(cli, "run_checks", fake_run_checks)
+    monkeypatch.setattr(checks, "run_checks", fake_run_checks)
     monkeypatch.setitem(cli.GEN_OBJECTS, "E", fake_builder)
     code, out, err = run_main(capsys, argv)
     what = "n_max" if argv[0] == "sweep" else "n"
@@ -548,19 +570,47 @@ def test_each_closed_form_is_built_once_per_n(monkeypatch, n):
 
 @pytest.mark.parametrize("n", range(12, 18))
 def test_each_dense_product_is_formed_once_per_n(monkeypatch, n):
-    genuine = checks.mat_mul
+    genuine, genuine_eliminate = checks.mat_mul, oracle.eliminate
     operands = []  # holding every operand keeps its id from being reused
+    inverses = []  # E_inv: inverse_thm_5_8 compares it with X, and no product re-tests it
 
     def recorded(a, b):
         operands.append((a, b))
         return genuine(a, b)
 
+    def eliminate(m):
+        inverses.append(genuine_eliminate(m))
+        return inverses[-1]
+
+    monkeypatch.setattr(oracle, "eliminate", eliminate)
     for mod in [m for k, m in sys.modules.items() if k.startswith("wheelecc")]:
         if getattr(mod, "mat_mul", None) is genuine:
             monkeypatch.setattr(mod, "mat_mul", recorded)
     assert run_checks(n).ok
     repeated = [pair for pair, k in Counter((id(a), id(b)) for a, b in operands).items() if k > 1]
     assert operands and repeated == []
+    assert len(inverses) == (n % 3 != 1)
+    assert not [pair for pair in operands for inv in inverses if any(m is inv for m in pair)]
+
+
+@pytest.mark.parametrize("n", [12, 13, 14])
+def test_verify_reads_the_bfs_matrices_without_fractions(monkeypatch, n):
+    genuine_ecc, genuine_fractions = graphs.eccentricity_matrix_definitional, ratq._fractions
+    bfs, converted = [], []
+
+    def ecc(d):
+        bfs.append(genuine_ecc(d))
+        return bfs[-1]
+
+    def fractions(m):
+        converted.append(m)
+        return genuine_fractions(m)
+
+    monkeypatch.setattr(graphs, "eccentricity_matrix_definitional", ecc)
+    monkeypatch.setattr(ratq, "_fractions", fractions)
+    assert run_checks(n).ok
+    assert len(bfs) == 2  # E_def and E_me_def
+    assert not [m for m in converted if any(m is e for e in bfs)]
 
 
 def _raise_in(monkeypatch, name):
