@@ -1,11 +1,13 @@
 """Closed forms for the wheel-graph eccentricity matrix and its companions.
 
 Every function here builds a formula-level object: the block-circulant
-eccentricity matrices, determinant and inertia case formulas, the two
+eccentricity matrices, determinant, inertia and rank case formulas, the two
 Laplacian-like matrices, the inverse and Moore-Penrose inverse, the
+circulant lemmas and the products L E and X E the paper writes down, the
 spectral radius, the non-EDM witness vectors and the rank certificate of
-Lemma 6.9.  Independent definitional verifiers live in `oracle`; nothing
-here row-reduces or eliminates.
+Lemma 6.9.  Each is the paper's side of one or more checks in `checks`,
+which only compare.  Independent definitional verifiers live in `oracle`;
+nothing here row-reduces or eliminates.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .ratq import (
     VectorQ,
     block_compose,
     identity,
+    int_rows,
     jmatrix,
     ones_vector,
     rat,
@@ -55,6 +58,13 @@ class SpectralRadiusResult(NamedTuple):
 def _require(n: int, minimum: int = 5) -> None:
     if n < minimum:
         raise ValueError(f"need n >= {minimum}, got {n}")
+
+
+def _require_case(n: int, singular: bool, what: str) -> None:
+    """ResidueClassError unless n is in the singular (n % 3 == 1) or the invertible case."""
+    if (n % 3 == 1) != singular or n < 5:
+        case = "n % 3 == 1 and n >= 7" if singular else "n % 3 != 1 and n >= 5"
+        raise ResidueClassError(f"{what} needs {case}, got n = {n}")
 
 
 def wheel_u(n: int) -> VectorQ:
@@ -207,6 +217,11 @@ def rank_E_closed(n: int) -> int:
     return n - 2 if n % 3 == 1 else n
 
 
+def rank_L_closed(n: int) -> int:
+    """Rank of Ltilde (n - 1, Theorem 5.10) or, when n % 3 == 1, of Lhat (n - 3, Theorem 6.10)."""
+    return n - 3 if n % 3 == 1 else n - 1
+
+
 def null_vectors(n: int) -> tuple[VectorQ, VectorQ]:
     """Two independent null vectors of the eccentricity matrix when n % 3 == 1.
 
@@ -236,6 +251,43 @@ def p_circulant(n: int) -> CirculantQ:
     return CirculantQ(special_z(n).scaled(Fraction(1, 3 * (n - 1))))
 
 
+def pattern_sum_closed(n: int) -> int:
+    """Coordinate sum of the block's defining vector: 2-n, or (n-1)(2-n) for special_z."""
+    return (n - 1) * (2 - n) if n % 3 == 1 else 2 - n
+
+
+def block_e_closed(n: int) -> VectorQ:
+    """Lemmas Me and Pe: the cyclic block, M or (n % 3 == 1) P, times e is ((2-n)/3) e."""
+    return ones_vector(n - 1).scaled(Fraction(2 - n, 3))
+
+
+def MU_closed(n: int) -> CirculantQ:
+    """Lemma Si: M U = cir(-4, 2, 4-2n, ..., 4-2n, 2) / 3, with U = cir(wheel_u(n))."""
+    _require_case(n, False, "M U")
+    return CirculantQ(VectorQ(Fraction(x, 3) for x in [-4, 2] + [4 - 2 * n] * (n - 4) + [2]))
+
+
+def v_circulant(n: int) -> CirculantQ:
+    """V = cir(2, -1, -1, ..., 2, -1, -1) of order n-1, for n % 3 == 1."""
+    _require_case(n, True, "V")
+    return CirculantQ(VectorQ([2, -1, -1] * ((n - 1) // 3)))
+
+
+def PV_closed(n: int) -> CirculantQ:
+    """Lemma PV: P V = ((1-n)/3) V."""
+    return CirculantQ(v_circulant(n).first_row.scaled(Fraction(1 - n, 3)))
+
+
+def PU_closed(n: int) -> CirculantQ:
+    """Lemma PU: P Ubar = cir(zp) / (3(n-1)), with Ubar = cir(1, 1, 0, ..., 0, 1).
+
+    zp = (5n-n^2-10, 2n-n^2+2, 3, -6, 3, ..., 3, -6, 3, 2n-n^2+2).
+    """
+    _require_case(n, True, "P Ubar")
+    zp = [5 * n - n * n - 10, 2 * n - n * n + 2] + [3, -6, 3] * ((n - 4) // 3) + [2 * n - n * n + 2]
+    return CirculantQ(VectorQ(Fraction(x, 3 * (n - 1)) for x in zp))
+
+
 def _laplacian_from_block(n: int, block: CirculantQ) -> MatrixQ:
     hub = _bordered(zeros(n - 1, n - 1)).scaled(Fraction(-1, 3))
     return identity(n).scaled(Fraction(n - 1, 3)) + hub + block_compose(
@@ -262,6 +314,11 @@ def weight_w(n: int) -> VectorQ:
     return VectorQ([Fraction(7 - n, 6)] + [Fraction(1, 6)] * (n - 1))
 
 
+def Ew_closed(n: int) -> VectorQ:
+    """E w = ((n-1)/6) e."""
+    return ones_vector(n).scaled(Fraction(n - 1, 6))
+
+
 def inverse_formula(lap: MatrixQ, w: VectorQ) -> MatrixQ:
     """The paper's formula -(1/2) L + (6/(n-1)) w w' for E's (pseudo)inverse.
 
@@ -280,23 +337,55 @@ def inverse_E_closed(n: int) -> MatrixQ:
     Only defined when n % 3 != 1; otherwise the matrix is singular
     (see det_E_closed) and the pseudoinverse formula applies instead.
     """
+    _require(n)
     if n % 3 == 1:
         raise ResidueClassError(
             f"n = {n} has n % 3 == 1, where the matrix is singular (det = 0, "
             "check det_thm_3_4); use pinv_E_closed"
         )
-    _require(n)
     return inverse_formula(laplacian_tilde(n), weight_w(n))
 
 
 def pinv_E_closed(n: int) -> MatrixQ:
     """Moore-Penrose inverse for the singular case: -(1/2) Lhat + (6/(n-1)) w w'."""
+    _require(n)
     if n % 3 != 1 or n < 7:
         raise ResidueClassError(
             f"the pseudoinverse formula needs n % 3 == 1 and n >= 7, got n = {n}; "
             "the matrix is invertible otherwise, use inverse_E_closed"
         )
     return inverse_formula(laplacian_hat(n), weight_w(n))
+
+
+def ltilde_E_closed(n: int) -> MatrixQ:
+    """Identity (5.1): Ltilde E = 2 w e' - 2I, with 2 w = (7-n, 1, ..., 1)/3."""
+    _require_case(n, False, "Ltilde E")
+    return MatrixQ.from_ints(([x] * n for x in [7 - n] + [1] * (n - 1)), 3) - identity(n).scaled(2)
+
+
+def lhat_E_closed(n: int) -> MatrixQ:
+    """Lemma LhatE: Lhat E, over the denominator 3(n-1).
+
+    The hub row is ((1-n)/3, (7-n)/3, ..., (7-n)/3); below it a column of 1/3
+    borders cir(vp)/3, vp = (17-5n, n-7, n-7, n+11, ..., n-7, n-7, n+11, n-7, n-7)/(n-1).
+    """
+    _require_case(n, True, "Lhat E")
+    d = n - 1
+    vp = [17 - 5 * n] + [n - 7, n - 7, n + 11] * ((n - 4) // 3) + [n - 7, n - 7]
+    rows = [[(1 - n) * d] + [(7 - n) * d] * d]
+    for _ in range(d):
+        rows.append([d] + vp)
+        vp = [vp[-1]] + vp[:-1]
+    return MatrixQ.from_ints(rows, 3 * d)
+
+
+def pinv_XE_closed(n: int) -> MatrixQ:
+    """X E = I - blockdiag(0, V/(n-1)) for the Moore-Penrose inverse X (n % 3 == 1)."""
+    v, dv = int_rows(to_dense(v_circulant(n)))
+    d = dv * (n - 1)
+    rows = [[d] + [0] * (n - 1)]
+    rows.extend([0] + [(d if i == j else 0) - x for j, x in enumerate(r)] for i, r in enumerate(v))
+    return MatrixQ.from_ints(rows, d)
 
 
 def rank_certificate(n: int) -> tuple[MatrixQ, MatrixQ]:

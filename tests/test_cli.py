@@ -1,6 +1,7 @@
 """Tests for the command-line front end and the verification report schema."""
 
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -8,6 +9,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -15,6 +17,7 @@ import pytest
 from wheelecc import checks, cli, graphs, oracle, ratq
 from wheelecc import closedform as cf
 from wheelecc.checks import Check, CheckResult, run_checks
+from wheelecc.circulant import CirculantQ
 from wheelecc.cli import cmd_gen, cmd_sweep, cmd_verify, main
 from wheelecc.ratq import MatrixQ, VectorQ, identity
 
@@ -60,6 +63,14 @@ def test_gen_inverse_singular_case_is_usage_error(capsys):
     assert code == 2
     assert "singular" in err
     assert "n % 3" in err
+
+
+@pytest.mark.parametrize("obj", ["inverse", "pinv"])
+def test_gen_inverse_below_five_names_the_size_not_the_residue(capsys, obj):
+    """At n = 4 neither formula applies, so neither message may point to the other builder."""
+    code, out, err = run_main(capsys, ["gen", obj, "4"])
+    assert (code, out) == (2, "")
+    assert err == "error: need n >= 5, got 4\n"
 
 
 def test_gen_lhat_wrong_residue(capsys):
@@ -319,6 +330,21 @@ def test_sweep_stdout_identity(capsys):
     code, out, _ = run_main(capsys, ["sweep", "4", "24", "--format", "json"])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_4_24_JSON_SHA256
+
+
+# sha256 of `sweep 4 24` stdout in the other two layouts, recorded while each
+# check still had its own `_chk_*` runner and built the paper's side inline.
+SWEEP_4_24_SHA256 = {
+    "csv": "995f263ac2459e693fb9c7fdd9381e7e1f4ed14dc6992cfbb1d0662d3ad8c15c",
+    "pretty": "d79957c75d1a4f4f5e9ee7d105fef13341477170083de905269f8bf7a5b695fa",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(SWEEP_4_24_SHA256))
+def test_sweep_stdout_identity_in_csv_and_pretty(capsys, fmt):
+    code, out, _ = run_main(capsys, ["sweep", "4", "24", "--format", fmt])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_4_24_SHA256[fmt]
 
 
 # sha256 of `verify n --format json` stdout at the sizes where the dense exact
@@ -805,6 +831,99 @@ def test_closed_form_E_mutant_fails_only_its_compare_check(monkeypatch, builder,
     got = report.pop(check)
     assert baseline.pop(check).status == "pass"
     assert (got.status, got.actual) == ("fail", "differs at (0,0): expected 0, got 1")
+    assert {k: (c.status, c.actual) for k, c in report.items()} == {
+        k: (c.status, c.actual) for k, c in baseline.items()
+    }
+
+
+def _one_off(value):
+    """value with one entry moved by 1: a matrix's (0,0), a vector's or circulant's first; or the value."""
+    if isinstance(value, MatrixQ):
+        rows = [list(r) for r in value.iter_rows()]
+        rows[0][0] += 1
+        return MatrixQ(rows)
+    if isinstance(value, CirculantQ):
+        return CirculantQ(_one_off(value.first_row))
+    if isinstance(value, VectorQ):
+        return VectorQ([value[0] + 1, *value.entries[1:]])
+    return value + 1
+
+
+# closedform statement -> {n: the checks that read it there}, at one n per
+# residue class where those checks run.
+STATEMENT_READERS = {
+    "det_E_closed": {  # invertible_thm_3_5 reads only whether it is zero
+        12: {"det_thm_3_4", "recur_3_2"},
+        13: {"det_thm_3_4", "recur_3_2", "invertible_thm_3_5"},
+        14: {"det_thm_3_4", "recur_3_2"},
+    },
+    "rank_L_closed": {
+        12: {"rank_Ltilde_thm_5_10"},
+        13: {"rank_Lhat_thm_6_10", "rank_cert_lem_6_9"},
+        14: {"rank_Ltilde_thm_5_10"},
+    },
+    "pattern_sum_closed": {
+        12: {"lemma_5_1_patterns"}, 13: {"zvec_6_1_6_2"}, 14: {"lemma_5_1_patterns"},
+    },
+    "block_e_closed": {12: {"lemma_Me"}, 13: {"lemma_Pe"}, 14: {"lemma_Me"}},
+    "Ew_closed": {n: {"identity_Ew_5_1"} for n in (12, 13, 14)},
+    "MU_closed": {12: {"lemma_Si"}, 14: {"lemma_Si"}},
+    "ltilde_E_closed": {12: {"identity_LE_5_1"}, 14: {"identity_LE_5_1"}},
+    # a V that is not period 3 makes Lemma 2.1's period-3 product raise
+    "v_circulant": {13: {"lemma_2_1_period3", "lemma_PV", "pinv_XE_structure"}},
+    "PV_closed": {13: {"lemma_PV"}},
+    "PU_closed": {13: {"lemma_PU"}},
+    "lhat_E_closed": {13: {"lemma_LhatE"}},
+    "pinv_XE_closed": {13: {"pinv_XE_structure"}},
+}
+
+
+@functools.cache
+def _unpatched_report(n):
+    """run_checks(n) before any patch, shared by the mutant tests below."""
+    return run_checks(n)
+
+
+@pytest.mark.parametrize(
+    "builder, n, readers",
+    [(b, n, readers) for b, by_n in STATEMENT_READERS.items() for n, readers in by_n.items()],
+    ids=lambda v: "-".join(sorted(v)) if isinstance(v, set) else str(v),
+)
+def test_closed_form_statement_mutant_fails_only_its_readers(monkeypatch, builder, n, readers):
+    """Each check takes the paper's side from `closedform`, so a wrong statement fails its readers."""
+    baseline = {c.name: c for c in _unpatched_report(n).checks}
+    genuine = getattr(cf, builder)
+    for mod in [m for k, m in sys.modules.items() if k.startswith("wheelecc")]:
+        if getattr(mod, builder, None) is genuine:
+            monkeypatch.setattr(mod, builder, lambda *args: _one_off(genuine(*args)))
+    report = {c.name: c for c in run_checks(n).checks}
+    changed = {
+        k for k, c in report.items() if (c.status, c.actual) != (baseline[k].status, baseline[k].actual)
+    }
+    assert changed == readers
+    assert all(baseline[k].status == "pass" and report[k].status in ("fail", "error") for k in readers)
+
+
+@pytest.mark.parametrize("n", [12, 13, 14])
+def test_tridiagonal_recurrence_mutant_fails_only_det_T(monkeypatch, n):
+    """det_T_lem_3_2 also runs Theorem 3.1's recurrence branch (a = b = c = -2, discriminant -12)."""
+    genuine = cf.det_tridiagonal_closed
+
+    def flipped(order, a, b, c):  # the recurrence with the sign of its b c term flipped
+        if cf._perfect_square_root(Fraction(a * a - 4 * b * c)):
+            return genuine(order, a, b, c)
+        prev, cur = Fraction(1), Fraction(a)
+        for _ in range(order - 1):
+            prev, cur = cur, a * cur + b * c * prev
+        return cur
+
+    baseline = {c.name: c for c in _unpatched_report(n).checks}
+    monkeypatch.setattr(cf, "det_tridiagonal_closed", flipped)
+    report = {c.name: c for c in run_checks(n).checks}
+    got, want = report.pop("det_T_lem_3_2"), baseline.pop("det_T_lem_3_2")
+    assert want.status == "pass"
+    assert (got.status, got.expected) == ("fail", want.expected)
+    assert got.actual.startswith(f"{want.actual} (recurrence gives ")
     assert {k: (c.status, c.actual) for k, c in report.items()} == {
         k: (c.status, c.actual) for k, c in baseline.items()
     }

@@ -4,9 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from wheelecc.circulant import CirculantQ, ResidueClassError, to_dense, tridiagonal
+from wheelecc.circulant import CirculantQ, ResidueClassError, circ_mul, to_dense, tridiagonal
 from wheelecc.closedform import (
+    Ew_closed,
     InertiaTriple,
+    MU_closed,
+    PU_closed,
+    PV_closed,
+    block_e_closed,
     bordered_B,
     det_B_closed,
     det_E_closed,
@@ -22,13 +27,19 @@ from wheelecc.closedform import (
     inverse_E_closed,
     laplacian_hat,
     laplacian_tilde,
+    lhat_E_closed,
+    ltilde_E_closed,
     m_circulant,
     null_vectors,
     p_circulant,
+    pattern_sum_closed,
     pinv_E_closed,
+    pinv_XE_closed,
     quotient_matrix,
     rank_E_closed,
+    rank_L_closed,
     spectral_radius_closed,
+    v_circulant,
     weight_w,
     wheel_u,
 )
@@ -319,6 +330,45 @@ def test_inverse_matches_gauss_jordan():
 def test_inverse_residue_error_names_singularity():
     with pytest.raises(ResidueClassError, match="singular"):
         inverse_E_closed(7)
+
+
+@pytest.mark.parametrize("builder", [inverse_E_closed, pinv_E_closed])
+def test_inverse_formulas_reject_n_below_five_before_the_residue_class(builder):
+    with pytest.raises(ValueError, match="need n >= 5, got 4") as raised:
+        builder(4)
+    assert not isinstance(raised.value, ResidueClassError)
+
+
+@pytest.mark.parametrize(
+    "builder, outside",
+    [(MU_closed, 7), (ltilde_E_closed, 10), (v_circulant, 8), (PV_closed, 9), (PU_closed, 8),
+     (lhat_E_closed, 11), (pinv_XE_closed, 9), (v_circulant, 4), (MU_closed, 4)],
+)
+def test_case_statements_reject_the_other_residue_class(builder, outside):
+    with pytest.raises(ResidueClassError, match="needs n % 3"):
+        builder(outside)
+
+
+@pytest.mark.parametrize("n", range(5, 23))
+def test_product_statements_equal_the_products_of_the_closed_forms(n):
+    e = ecc_matrix_wheel(n)
+    assert e.mul_vec(weight_w(n)) == Ew_closed(n)
+    assert rank_exact(laplacian_hat(n) if n % 3 == 1 else laplacian_tilde(n)) == rank_L_closed(n)
+    if n % 3 != 1:
+        m = m_circulant(n)
+        assert m.first_row.sum() * 3 == pattern_sum_closed(n)
+        assert to_dense(m).mul_vec(ones_vector(n - 1)) == block_e_closed(n)
+        assert to_dense(circ_mul(m, CirculantQ(wheel_u(n)))) == to_dense(MU_closed(n))
+        assert mat_mul(laplacian_tilde(n), e) == ltilde_E_closed(n)
+        return
+    p, v = p_circulant(n), v_circulant(n)
+    assert p.first_row.sum() * 3 * (n - 1) == pattern_sum_closed(n)
+    assert to_dense(p).mul_vec(ones_vector(n - 1)) == block_e_closed(n)
+    assert to_dense(circ_mul(p, v)) == to_dense(PV_closed(n))
+    ubar = CirculantQ(VectorQ([1, 1] + [0] * (n - 4) + [1]))
+    assert to_dense(circ_mul(p, ubar)) == to_dense(PU_closed(n))
+    assert mat_mul(laplacian_hat(n), e) == lhat_E_closed(n)
+    assert mat_mul(pinv_E_closed(n), e) == pinv_XE_closed(n)
 
 
 def test_identity_pair():

@@ -6,8 +6,9 @@ the imports mechanical: the oracles and the graph ground truth depend on the
 scalar/matrix substrate `ratq` alone, the closed forms depend on no oracle,
 the definitional eccentricity matrices of the check registry come from
 `graphs` calls only, the closed forms of E reach the registry only through
-the two checks that compare them with those, the oracle-only report at
-n = 4 reads no closed form, and only `VerifyContext` properties run an
+the two checks that compare them with those, every check but a listed few
+takes the paper's side from `closedform`, the oracle-only report at n = 4
+reads no closed form, and only `VerifyContext` properties run an
 elimination on a BFS matrix.  The modules are parsed, never imported.
 """
 
@@ -68,13 +69,60 @@ def _function(body: list[ast.stmt], name: str) -> ast.FunctionDef:
     return next(node for node in body if isinstance(node, ast.FunctionDef) and node.name == name)
 
 
-def test_n4_report_reads_no_closed_form():
-    report = _function(_tree("checks").body, "_oracle_only_report")
-    reads = {
-        node.attr for node in ast.walk(report)
+def _cf_reads(scope: ast.AST) -> set[str]:
+    """The `cf.<name>` attributes read in scope."""
+    return {
+        node.attr for node in ast.walk(scope)
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "cf"
     }
-    assert reads == set()
+
+
+def test_n4_report_reads_no_closed_form():
+    assert _cf_reads(_function(_tree("checks").body, "_oracle_only_report")) == set()
+
+
+def _registry(tree: ast.Module) -> ast.AnnAssign:
+    return next(
+        node for node in tree.body
+        if isinstance(node, ast.AnnAssign) and ast.unparse(node.target) == "CHECKS"
+    )
+
+
+def _registry_rows(tree: ast.Module) -> dict[str, ast.AST]:
+    """Check name -> the runner of its `CHECKS` row: a lambda, or the function the row names."""
+    rows = {}
+    for row in _registry(tree).value.elts:
+        name, _, runner = row.args[:3]
+        if isinstance(runner, ast.Name):
+            runner = _function(tree.body, runner.id)
+        rows[name.value] = runner
+    return rows
+
+
+def test_registry_rows_are_read_one_per_check():
+    tree = _tree("checks")
+    rows = _registry_rows(tree)
+    assert len(rows) == len(_registry(tree).value.elts) == 40
+    assert _cf_reads(rows["det_thm_3_4"]) == {"det_E_closed"}
+    assert _cf_reads(rows["rank_cert_lem_6_9"]) == {"rank_certificate", "rank_L_closed"}
+
+
+# The checks whose paper side is no `closedform` statement, each with the reason.
+NO_CLOSED_FORM = {
+    "irreducible_prop_2_3": "the paper's side is a plain yes",
+    "circ_symmetry": "general circulant algebra on ctx.block",
+    "circ_props_2_1_2_3": "general circulant algebra on ctx.u_circ and ctx.block",
+    "inverse_thm_5_8": "the paper's side is ctx.X, the inverse formula",
+    "pinv_thm_6_6": "the paper's side is ctx.X, the pseudoinverse formula",
+    "laplike_Ltilde": "the paper's side is ctx.L",
+    "laplike_Lhat": "the paper's side is ctx.L",
+}
+
+
+def test_every_check_reads_the_papers_side_from_closedform():
+    """So a `closedform` mutant can reach every check that compares against a value of the paper."""
+    rows = _registry_rows(_tree("checks"))
+    assert {name for name, runner in rows.items() if not _cf_reads(runner)} == set(NO_CLOSED_FORM)
 
 
 def _context() -> ast.ClassDef:
@@ -105,8 +153,8 @@ def test_definitional_E_is_built_from_graphs_alone(name):
 
 
 CLOSED_FORM_E = {
-    "ecc_matrix_wheel": "_chk_ecc_blockform",
-    "ecc_matrix_wheel_minus_edge": "_chk_ecc_minus_edge",
+    "ecc_matrix_wheel": "ecc_blockform_eq_2_5",
+    "ecc_matrix_wheel_minus_edge": "ecc_minus_edge_sec_4",
 }
 
 
@@ -117,10 +165,16 @@ def test_closed_form_E_is_read_only_by_its_compare_check():
         for alias in node.names
     }
     assert imported.isdisjoint(CLOSED_FORM_E)
+    # a read inside a registry row counts by check name, anywhere else by top-level name
+    rows = _registry_rows(tree)
+    scopes = list(rows.items()) + [
+        (getattr(top, "name", ast.unparse(top)[:40]), top)
+        for top in tree.body if top is not _registry(tree) and top not in rows.values()
+    ]
     readers = sorted(
-        (node.attr, top.name)
-        for top in tree.body
-        for node in ast.walk(top)
+        (node.attr, where)
+        for where, scope in scopes
+        for node in ast.walk(scope)
         if isinstance(node, ast.Attribute) and node.attr in CLOSED_FORM_E
     )
     assert readers == sorted(CLOSED_FORM_E.items())
