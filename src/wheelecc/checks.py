@@ -22,17 +22,7 @@ from . import closedform as cf
 from . import graphs
 from . import oracle
 from .circulant import (
-    CirculantQ,
-    circ_mul,
-    combination_x,
-    combination_y,
-    is_symmetric_in_last_coords,
-    period3_row_product,
-    special_x,
-    special_y,
-    special_z,
-    to_dense,
-    tridiagonal,
+    CirculantQ, circ_mul, is_symmetric_in_last_coords, period3_row_product, to_dense,
 )
 from .ratq import (
     DEFAULT_REPORT_TOL, MatrixQ, VectorQ, identity, int_rows, mat_mul, ones_vector,
@@ -206,7 +196,7 @@ def _palindromic_summing_to(v: VectorQ, total: int) -> bool:
 
 def _chk_det_T(ctx):
     """Lemma 3.2, and Theorem 3.1's recurrence branch (discriminant -12) on the same T."""
-    det = oracle.bareiss_det(tridiagonal(ctx.n, -2, -2, -2))
+    det = oracle.bareiss_det(cf.tridiagonal(ctx.n, -2, -2, -2))
     expected, actual, ok = _scalar(cf.det_T_closed(ctx.n), det)
     recurrence = cf.det_tridiagonal_closed(ctx.n, -2, -2, -2)
     if recurrence != det:
@@ -235,9 +225,9 @@ def _chk_nullvec(ctx):
 def _chk_patterns(ctx):
     n = ctx.n
     if n % 3 == 2:
-        v, combination = special_x(n), combination_x(n)
+        v, combination = cf.special_x(n), cf.combination_x(n)
     else:
-        v, combination = special_y(n), combination_y(n)
+        v, combination = cf.special_y(n), cf.combination_y(n)
     ok = v == combination and _palindromic_summing_to(v, cf.pattern_sum_closed(n))
     return _holds("pattern == combination form, palindromic tail, sum 2-n", ok)
 
@@ -255,6 +245,8 @@ def _chk_circ_props(ctx):
 
 def _chk_period3(ctx):
     g = cf.v_circulant(ctx.n).first_row
+    if any(g[i] != g[i % 3] for i in range(len(g))):
+        return _bool(True, False, "V's first row is not period 3")
     t1, t2, t3 = period3_row_product(g, ctx.u_circ)
     full = mat_mul(g.as_row(), to_dense(ctx.u_circ)).row(0)
     rebuilt = VectorQ([t1, t2, t3] * ((ctx.n - 1) // 3))
@@ -367,7 +359,7 @@ CHECKS: tuple[Check, ...] = (
           lambda ctx: _mat_eq(ctx.E_me_def, cf.ecc_matrix_wheel_minus_edge(ctx.n))),
     Check("det_tridiag_thm_3_1", ALL, lambda ctx: _scalar(
         cf.det_tridiagonal_closed(ctx.n, 3, 2, 1),
-        oracle.bareiss_det(tridiagonal(ctx.n, 3, 2, 1)))),
+        oracle.bareiss_det(cf.tridiagonal(ctx.n, 3, 2, 1)))),
     Check("det_T_lem_3_2", ALL, _chk_det_T),
     Check("det_B_lem_3_3", ALL,
           lambda ctx: _scalar(cf.det_B_closed(ctx.n), oracle.bareiss_det(cf.bordered_B(ctx.n)))),
@@ -396,7 +388,7 @@ CHECKS: tuple[Check, ...] = (
     Check("lemma_5_1_patterns", INVERTIBLE, _chk_patterns),
     Check("zvec_6_1_6_2", SINGULAR, lambda ctx: _holds(
         "palindromic tail, sum (n-1)(2-n)",
-        _palindromic_summing_to(special_z(ctx.n), cf.pattern_sum_closed(ctx.n)))),
+        _palindromic_summing_to(cf.special_z(ctx.n), cf.pattern_sum_closed(ctx.n)))),
     Check("circ_symmetry", ALL, lambda ctx: _holds(
         "palindromic tail gives symmetric circulant",
         is_symmetric_in_last_coords(ctx.block.first_row) and to_dense(ctx.block).is_symmetric())),

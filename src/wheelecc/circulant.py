@@ -1,9 +1,9 @@
-"""Compact circulant-matrix algebra and the special defining vectors.
+"""Compact algebra on an arbitrary circulant matrix.
 
 A circulant is stored by its first row; every later row is the previous
-one cyclically shifted right.  The special vectors built here (basis_c,
-special_x, special_y, special_z) define the cyclic blocks of the
-inverse-formula and pseudoinverse-formula Laplacian-like matrices.
+one cyclically shifted right.  Nothing here knows the wheel order n: the
+circulants of the paper and the vectors that define them are statements
+of `closedform`.
 """
 
 from __future__ import annotations
@@ -12,11 +12,7 @@ from fractions import Fraction
 from operator import mul
 from typing import NamedTuple
 
-from .ratq import MatrixQ, ShapeError, VectorQ, int_entries, rat
-
-
-class ResidueClassError(ValueError):
-    """A construction was requested outside its valid residue class of n mod 3."""
+from .ratq import MatrixQ, ShapeError, VectorQ, int_entries
 
 
 class CirculantQ(NamedTuple):
@@ -101,138 +97,3 @@ def is_symmetric_in_last_coords(x: VectorQ) -> bool:
     if m < 3:
         raise ShapeError(f"need length >= 3, got {m}")
     return all(x[i] == x[m - i] for i in range(1, m))
-
-
-def _basis_e(i: int, length: int) -> VectorQ:
-    """Standard basis vector, 1-indexed position i, of the given length."""
-    if not 1 <= i <= length:
-        raise ShapeError(f"position {i} outside 1..{length}")
-    return VectorQ([1 if j == i - 1 else 0 for j in range(length)])
-
-
-def basis_c(k: int, n: int) -> VectorQ:
-    """Paired basis vector of length n-1 with ones at 1-indexed positions k+1 and n-k.
-
-    Valid for 1 <= k <= (n-2)/2 when n is even, 1 <= k <= (n-3)/2 when n is odd;
-    the two positions are mirror images, so the tail is always palindromic.
-    """
-    kmax = (n - 2) // 2 if n % 2 == 0 else (n - 3) // 2
-    if not 1 <= k <= kmax:
-        raise ValueError(f"k = {k} outside valid range 1..{kmax} for n = {n}")
-    v = [Fraction(0)] * (n - 1)
-    v[k] = Fraction(1)
-    v[n - k - 1] = Fraction(1)
-    return VectorQ(v)
-
-
-def _combine(length: int, terms) -> VectorQ:
-    acc = [Fraction(0)] * length
-    for coeff, vec in terms:
-        coeff = rat(coeff)
-        for i, x in enumerate(vec.entries):
-            acc[i] += coeff * x
-    return VectorQ(acc)
-
-
-def combination_x(n: int) -> VectorQ:
-    """Linear-combination form of the n % 3 == 2 defining vector."""
-    if n % 2 == 0:
-        terms = [(2 - n, _basis_e(1, n - 1))]
-        for k in range(1, (n - 2) // 6 + 1):
-            terms += [
-                (1, basis_c(3 * k - 2, n)),
-                (-2, basis_c(3 * k - 1, n)),
-                (1, basis_c(3 * k, n)),
-            ]
-    else:
-        terms = [(2 - n, _basis_e(1, n - 1))]
-        for k in range(1, (n - 5) // 6 + 1):
-            terms += [(1, basis_c(3 * k, n)), (-2, basis_c(3 * k - 1, n))]
-        for k in range(1, (n + 1) // 6 + 1):
-            terms.append((1, basis_c(3 * k - 2, n)))
-        terms.append((-2, _basis_e((n + 1) // 2, n - 1)))
-    return _combine(n - 1, terms)
-
-
-def combination_y(n: int) -> VectorQ:
-    """Linear-combination form of the n % 3 == 0 defining vector."""
-    if n % 2 == 0:
-        terms = [(-n, _basis_e(1, n - 1))]
-        for k in range(1, n // 6 + 1):
-            terms += [(2, basis_c(3 * k - 2, n)), (-1, basis_c(3 * k - 1, n))]
-        for k in range(1, n // 6):
-            terms.append((-1, basis_c(3 * k, n)))
-    else:
-        terms = [(-n, _basis_e(1, n - 1))]
-        for k in range(1, (n - 3) // 6 + 1):
-            terms += [
-                (2, basis_c(3 * k - 2, n)),
-                (-1, basis_c(3 * k - 1, n)),
-                (-1, basis_c(3 * k, n)),
-            ]
-        terms.append((2, _basis_e((n + 1) // 2, n - 1)))
-    return _combine(n - 1, terms)
-
-
-def special_x(n: int) -> VectorQ:
-    """Defining vector (2-n, 1,-2,1, 1,-2,1, ...) of length n-1 for n % 3 == 2.
-
-    The check registry compares it with its linear-combination form,
-    `combination_x`.
-    """
-    if n % 3 != 2 or n < 5:
-        raise ResidueClassError(f"this vector needs n % 3 == 2 and n >= 5, got n = {n}")
-    return VectorQ([2 - n] + [1, -2, 1] * ((n - 2) // 3))
-
-
-def special_y(n: int) -> VectorQ:
-    """Defining vector (-n, 2,-1,-1, ..., 2,-1,-1, 2) of length n-1 for n % 3 == 0.
-
-    The check registry compares it with its linear-combination form,
-    `combination_y`.
-    """
-    if n % 3 != 0 or n < 6:
-        raise ResidueClassError(f"this vector needs n % 3 == 0 and n >= 6, got n = {n}")
-    return VectorQ([-n] + [2, -1, -1] * ((n - 3) // 3) + [2])
-
-
-def special_z(n: int) -> VectorQ:
-    """Defining vector of length n-1 for the pseudoinverse case n % 3 == 1.
-
-    Built from its linear-combination form, which depends on the parity of n;
-    unlike special_x/special_y there is no short closed pattern.  The check
-    registry verifies its palindromic tail and coordinate sum (n-1)(2-n).
-    """
-    if n % 3 != 1 or n < 7:
-        raise ResidueClassError(f"this vector needs n % 3 == 1 and n >= 7, got n = {n}")
-    if n % 2 == 0:
-        terms = [(2 * n - n * n, _basis_e(1, n - 1))]
-        for k in range(1, (n - 4) // 6 + 1):
-            terms += [
-                (Fraction(3 * n - 18 * k + 8, 2), basis_c(3 * k - 2, n)),
-                (Fraction(-(3 * n - 18 * k + 4), 2), basis_c(3 * k - 1, n)),
-                (1, basis_c(3 * k, n)),
-            ]
-        terms.append((1, basis_c(n // 2 - 1, n)))
-    else:
-        terms = [(2 * n - n * n, _basis_e(1, n - 1))]
-        for k in range(1, (n - 1) // 6 + 1):
-            terms += [
-                (Fraction(3 * n - 18 * k + 8, 2), basis_c(3 * k - 2, n)),
-                (Fraction(-(3 * n - 18 * k + 4), 2), basis_c(3 * k - 1, n)),
-            ]
-        for k in range(1, (n - 7) // 6 + 1):
-            terms.append((1, basis_c(3 * k, n)))
-        terms.append((1, _basis_e((n + 1) // 2, n - 1)))
-    return _combine(n - 1, terms)
-
-
-def tridiagonal(order: int, a, b, c) -> MatrixQ:
-    """Dense constant-tridiagonal matrix: a on the diagonal, b above it, c below it."""
-    if order < 1:
-        raise ShapeError(f"tridiagonal order must be >= 1, got {order}")
-    a, b, c, zero = rat(a), rat(b), rat(c), Fraction(0)
-    return MatrixQ(
-        [a if i == j else b if j == i + 1 else c if j == i - 1 else zero for j in range(order)]
-        for i in range(order)
-    )

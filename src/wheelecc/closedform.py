@@ -1,13 +1,16 @@
 """Closed forms for the wheel-graph eccentricity matrix and its companions.
 
 Every function here builds a formula-level object: the block-circulant
-eccentricity matrices, determinant, inertia and rank case formulas, the two
-Laplacian-like matrices, the inverse and Moore-Penrose inverse, the
-circulant lemmas and the products L E and X E the paper writes down, the
-spectral radius, the non-EDM witness vectors and the rank certificate of
-Lemma 6.9.  Each is the paper's side of one or more checks in `checks`,
-which only compare.  Independent definitional verifiers live in `oracle`;
-nothing here row-reduces or eliminates.
+eccentricity matrices, determinant, inertia and rank case formulas, the
+defining vectors x, y and z of the cyclic blocks (each also as its sum of
+c_k terms), the two Laplacian-like matrices, the inverse and Moore-Penrose
+inverse, the circulant lemmas and the products L E and X E the paper writes
+down, the spectral radius, the non-EDM witness vectors and the rank
+certificate of Lemma 6.9.  Each is the paper's side of one or more checks
+in `checks`, which only compare.  Every rule over the residue class of n
+mod 3 lives here (`ResidueClassError`); `circulant` holds only the algebra
+of an arbitrary circulant.  Independent definitional verifiers live in
+`oracle`; nothing here row-reduces or eliminates.
 """
 
 from __future__ import annotations
@@ -16,18 +19,11 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .circulant import (
-    CirculantQ,
-    ResidueClassError,
-    special_x,
-    special_y,
-    special_z,
-    to_dense,
-    tridiagonal,
-)
+from .circulant import CirculantQ, to_dense
 from .ratq import (
     InertiaTriple,
     MatrixQ,
+    ShapeError,
     VectorQ,
     block_compose,
     identity,
@@ -37,6 +33,10 @@ from .ratq import (
     rat,
     zeros,
 )
+
+
+class ResidueClassError(ValueError):
+    """A construction was requested outside its valid residue class of n mod 3."""
 
 
 class SpectralRadiusResult(NamedTuple):
@@ -97,6 +97,17 @@ def ecc_matrix_wheel(n: int) -> MatrixQ:
     if n == 4:
         return jmatrix(4) - identity(4)
     return _bordered(to_dense(CirculantQ(wheel_u(n))))
+
+
+def tridiagonal(order: int, a, b, c) -> MatrixQ:
+    """Dense constant-tridiagonal matrix: a on the diagonal, b above it, c below it."""
+    if order < 1:
+        raise ShapeError(f"tridiagonal order must be >= 1, got {order}")
+    a, b, c, zero = rat(a), rat(b), rat(c), Fraction(0)
+    return MatrixQ(
+        [a if i == j else b if j == i + 1 else c if j == i - 1 else zero for j in range(order)]
+        for i in range(order)
+    )
 
 
 def ecc_matrix_wheel_minus_edge(n: int) -> MatrixQ:
@@ -234,6 +245,95 @@ def null_vectors(n: int) -> tuple[VectorQ, VectorQ]:
     x = VectorQ([0] + [1, 0, -1] * k)
     y = VectorQ([0] + [0, 1, -1] * k)
     return x, y
+
+
+def _c_sum(n: int, terms) -> VectorQ:
+    """Sum of coeff * c_k over the (coeff, k) terms, a vector of length n-1.
+
+    c_k has ones at the 0-indexed positions k and n-1-k, so a term adds at k
+    and, when 0 < k < n-1-k, at the mirror n-1-k: e_1 is k = 0, and for odd
+    n the middle basis vector is the self-mirrored k = (n-1)/2.
+    """
+    acc = [0] * (n - 1)
+    for coeff, k in terms:
+        acc[k] += coeff
+        if 0 < k < n - 1 - k:
+            acc[n - 1 - k] += coeff
+    return VectorQ(acc)
+
+
+def combination_x(n: int) -> VectorQ:
+    """Linear-combination form of the n % 3 == 2 defining vector, by parity of n."""
+    terms = [(2 - n, 0)]
+    if n % 2 == 0:
+        for k in range(1, (n - 2) // 6 + 1):
+            terms += [(1, 3 * k - 2), (-2, 3 * k - 1), (1, 3 * k)]
+    else:
+        for k in range(1, (n - 5) // 6 + 1):
+            terms += [(1, 3 * k), (-2, 3 * k - 1)]
+        terms += [(1, 3 * k - 2) for k in range(1, (n + 1) // 6 + 1)]
+        terms.append((-2, (n - 1) // 2))
+    return _c_sum(n, terms)
+
+
+def combination_y(n: int) -> VectorQ:
+    """Linear-combination form of the n % 3 == 0 defining vector, by parity of n."""
+    terms = [(-n, 0)]
+    if n % 2 == 0:
+        for k in range(1, n // 6 + 1):
+            terms += [(2, 3 * k - 2), (-1, 3 * k - 1)]
+        terms += [(-1, 3 * k) for k in range(1, n // 6)]
+    else:
+        for k in range(1, (n - 3) // 6 + 1):
+            terms += [(2, 3 * k - 2), (-1, 3 * k - 1), (-1, 3 * k)]
+        terms.append((2, (n - 1) // 2))
+    return _c_sum(n, terms)
+
+
+def special_x(n: int) -> VectorQ:
+    """Defining vector (2-n, 1,-2,1, 1,-2,1, ...) of length n-1 for n % 3 == 2.
+
+    The check registry compares it with its linear-combination form,
+    `combination_x`.
+    """
+    if n % 3 != 2 or n < 5:
+        raise ResidueClassError(f"this vector needs n % 3 == 2 and n >= 5, got n = {n}")
+    return VectorQ([2 - n] + [1, -2, 1] * ((n - 2) // 3))
+
+
+def special_y(n: int) -> VectorQ:
+    """Defining vector (-n, 2,-1,-1, ..., 2,-1,-1, 2) of length n-1 for n % 3 == 0.
+
+    The check registry compares it with its linear-combination form,
+    `combination_y`.
+    """
+    if n % 3 != 0 or n < 6:
+        raise ResidueClassError(f"this vector needs n % 3 == 0 and n >= 6, got n = {n}")
+    return VectorQ([-n] + [2, -1, -1] * ((n - 3) // 3) + [2])
+
+
+def special_z(n: int) -> VectorQ:
+    """Defining vector of length n-1 for the pseudoinverse case n % 3 == 1.
+
+    Built from its linear-combination form, which depends on the parity of n;
+    unlike special_x/special_y there is no short closed pattern.  The check
+    registry verifies its palindromic tail and coordinate sum (n-1)(2-n).
+    """
+    if n % 3 != 1 or n < 7:
+        raise ResidueClassError(f"this vector needs n % 3 == 1 and n >= 7, got n = {n}")
+    if n % 2 == 0:
+        pairs, singles, last = (n - 4) // 6, (n - 4) // 6, n // 2 - 1
+    else:
+        pairs, singles, last = (n - 1) // 6, (n - 7) // 6, (n - 1) // 2
+    terms = [(2 * n - n * n, 0)]
+    for k in range(1, pairs + 1):
+        terms += [
+            (Fraction(3 * n - 18 * k + 8, 2), 3 * k - 2),
+            (Fraction(-(3 * n - 18 * k + 4), 2), 3 * k - 1),
+        ]
+    terms += [(1, 3 * k) for k in range(1, singles + 1)]
+    terms.append((1, last))
+    return _c_sum(n, terms)
 
 
 def m_circulant(n: int) -> CirculantQ:

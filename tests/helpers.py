@@ -8,7 +8,7 @@ from fractions import Fraction
 
 from wheelecc.circulant import CirculantQ, to_dense
 from wheelecc.graphs import Graph
-from wheelecc.ratq import MatrixQ, VectorQ
+from wheelecc.ratq import MatrixQ, ShapeError, VectorQ, rat
 
 
 def rand_fraction(rng, lo: int = -6, hi: int = 6, max_den: int = 4) -> Fraction:
@@ -311,3 +311,101 @@ def ref_eccentricity_matrix(g: Graph) -> MatrixQ:
         [d[i, j] if i != j and d[i, j] == min(ecc[i], ecc[j]) else Fraction(0) for j in range(n)]
         for i in range(n)
     )
+
+
+# --- dense-sum defining vectors --------------------------------------------------
+# `combination_x`, `combination_y` and `special_z` as they were built before the
+# index rule of `closedform._c_sum`: each c_k a full-length basis vector, summed
+# entry by entry in Fractions.  Kept as the slow reference route.
+
+
+def _ref_basis_e(i: int, length: int) -> VectorQ:
+    """Standard basis vector, 1-indexed position i, of the given length."""
+    if not 1 <= i <= length:
+        raise ShapeError(f"position {i} outside 1..{length}")
+    return VectorQ([1 if j == i - 1 else 0 for j in range(length)])
+
+
+def ref_basis_c(k: int, n: int) -> VectorQ:
+    """Paired basis vector of length n-1 with ones at 1-indexed positions k+1 and n-k.
+
+    Valid for 1 <= k <= (n-2)/2 when n is even, 1 <= k <= (n-3)/2 when n is odd;
+    the two positions are mirror images, so the tail is always palindromic.
+    """
+    kmax = (n - 2) // 2 if n % 2 == 0 else (n - 3) // 2
+    if not 1 <= k <= kmax:
+        raise ValueError(f"k = {k} outside valid range 1..{kmax} for n = {n}")
+    v = [Fraction(0)] * (n - 1)
+    v[k] = Fraction(1)
+    v[n - k - 1] = Fraction(1)
+    return VectorQ(v)
+
+
+def _ref_combine(length: int, terms) -> VectorQ:
+    acc = [Fraction(0)] * length
+    for coeff, vec in terms:
+        coeff = rat(coeff)
+        for i, x in enumerate(vec.entries):
+            acc[i] += coeff * x
+    return VectorQ(acc)
+
+
+def ref_combination_x(n: int) -> VectorQ:
+    if n % 2 == 0:
+        terms = [(2 - n, _ref_basis_e(1, n - 1))]
+        for k in range(1, (n - 2) // 6 + 1):
+            terms += [
+                (1, ref_basis_c(3 * k - 2, n)),
+                (-2, ref_basis_c(3 * k - 1, n)),
+                (1, ref_basis_c(3 * k, n)),
+            ]
+    else:
+        terms = [(2 - n, _ref_basis_e(1, n - 1))]
+        for k in range(1, (n - 5) // 6 + 1):
+            terms += [(1, ref_basis_c(3 * k, n)), (-2, ref_basis_c(3 * k - 1, n))]
+        for k in range(1, (n + 1) // 6 + 1):
+            terms.append((1, ref_basis_c(3 * k - 2, n)))
+        terms.append((-2, _ref_basis_e((n + 1) // 2, n - 1)))
+    return _ref_combine(n - 1, terms)
+
+
+def ref_combination_y(n: int) -> VectorQ:
+    if n % 2 == 0:
+        terms = [(-n, _ref_basis_e(1, n - 1))]
+        for k in range(1, n // 6 + 1):
+            terms += [(2, ref_basis_c(3 * k - 2, n)), (-1, ref_basis_c(3 * k - 1, n))]
+        for k in range(1, n // 6):
+            terms.append((-1, ref_basis_c(3 * k, n)))
+    else:
+        terms = [(-n, _ref_basis_e(1, n - 1))]
+        for k in range(1, (n - 3) // 6 + 1):
+            terms += [
+                (2, ref_basis_c(3 * k - 2, n)),
+                (-1, ref_basis_c(3 * k - 1, n)),
+                (-1, ref_basis_c(3 * k, n)),
+            ]
+        terms.append((2, _ref_basis_e((n + 1) // 2, n - 1)))
+    return _ref_combine(n - 1, terms)
+
+
+def ref_special_z(n: int) -> VectorQ:
+    if n % 2 == 0:
+        terms = [(2 * n - n * n, _ref_basis_e(1, n - 1))]
+        for k in range(1, (n - 4) // 6 + 1):
+            terms += [
+                (Fraction(3 * n - 18 * k + 8, 2), ref_basis_c(3 * k - 2, n)),
+                (Fraction(-(3 * n - 18 * k + 4), 2), ref_basis_c(3 * k - 1, n)),
+                (1, ref_basis_c(3 * k, n)),
+            ]
+        terms.append((1, ref_basis_c(n // 2 - 1, n)))
+    else:
+        terms = [(2 * n - n * n, _ref_basis_e(1, n - 1))]
+        for k in range(1, (n - 1) // 6 + 1):
+            terms += [
+                (Fraction(3 * n - 18 * k + 8, 2), ref_basis_c(3 * k - 2, n)),
+                (Fraction(-(3 * n - 18 * k + 4), 2), ref_basis_c(3 * k - 1, n)),
+            ]
+        for k in range(1, (n - 7) // 6 + 1):
+            terms.append((1, ref_basis_c(3 * k, n)))
+        terms.append((1, _ref_basis_e((n + 1) // 2, n - 1)))
+    return _ref_combine(n - 1, terms)

@@ -36,10 +36,10 @@ from wheelecc.closedform import (
     rank_certificate,
     rank_E_closed,
     spectral_radius_closed,
+    tridiagonal,
     weight_w,
     wheel_u,
 )
-from wheelecc.circulant import tridiagonal
 from wheelecc.oracle import (
     bareiss_det,
     inertia_exact,

@@ -4,15 +4,19 @@ from fractions import Fraction
 
 import pytest
 
-from wheelecc.circulant import CirculantQ, ResidueClassError, circ_mul, to_dense, tridiagonal
+from helpers import ref_combination_x, ref_combination_y, ref_special_z
+from wheelecc.circulant import CirculantQ, circ_mul, to_dense
 from wheelecc.closedform import (
     Ew_closed,
     InertiaTriple,
     MU_closed,
     PU_closed,
     PV_closed,
+    ResidueClassError,
     block_e_closed,
     bordered_B,
+    combination_x,
+    combination_y,
     det_B_closed,
     det_E_closed,
     det_E_minus_edge_closed,
@@ -39,6 +43,8 @@ from wheelecc.closedform import (
     rank_E_closed,
     rank_L_closed,
     spectral_radius_closed,
+    special_z,
+    tridiagonal,
     v_circulant,
     weight_w,
     wheel_u,
@@ -48,6 +54,23 @@ from wheelecc.oracle import bareiss_det, eliminate, inertia_exact, rank_exact
 from wheelecc.ratq import MatrixQ, VectorQ, identity, jmatrix, mat_mul, ones_vector
 
 F = Fraction
+
+
+@pytest.mark.parametrize(
+    "build, reference, residue",
+    [(combination_x, ref_combination_x, 2), (combination_y, ref_combination_y, 0),
+     (special_z, ref_special_z, 1)],
+    ids=["combination_x", "combination_y", "special_z"],
+)
+def test_c_k_index_rule_matches_dense_sum(build, reference, residue):
+    """Adding each coeff * c_k at k and its mirror equals summing full c_k vectors.
+
+    Every n from 5 to 90 in the class; the smallest ones, such as n = 7 and 8,
+    are mostly e_1 (k = 0) and, for odd n, the self-mirrored middle vector.
+    """
+    for n in range(7 if residue == 1 else 5, 91):
+        if n % 3 == residue:
+            assert build(n) == reference(n), n
 
 
 def _definitional_E(n):

@@ -2,14 +2,16 @@
 
 The dual-route rule says a closed form is never checked against itself or a
 route derived from it.  These tests make the parts of that rule that show in
-the imports mechanical: the oracles and the graph ground truth depend on the
-scalar/matrix substrate `ratq` alone, the closed forms depend on no oracle,
-the definitional eccentricity matrices of the check registry come from
-`graphs` calls only, the closed forms of E reach the registry only through
-the two checks that compare them with those, every check but a listed few
-takes the paper's side from `closedform`, the oracle-only report at n = 4
-reads no closed form, and only `VerifyContext` properties run an
-elimination on a BFS matrix.  The modules are parsed, never imported.
+the imports mechanical: the oracles, the graph ground truth and the
+circulant algebra depend on the scalar/matrix substrate `ratq` alone, no
+circulant function states anything of the wheel order n, the closed forms
+depend on no oracle, the definitional eccentricity matrices of the check
+registry come from `graphs` calls only, the closed forms of E reach the
+registry only through the two checks that compare them with those, every
+check but a listed few takes the paper's side from `closedform`, the
+oracle-only report at n = 4 reads no closed form, and only `VerifyContext`
+properties run an elimination on a BFS matrix.  The modules are parsed,
+never imported.
 """
 
 import ast
@@ -56,9 +58,24 @@ def test_package_imports_reads_every_import_form():
     assert package_imports(tree) == {"closedform", "ratq", "graphs", "oracle"}
 
 
-@pytest.mark.parametrize("module", ["oracle", "graphs"])
+@pytest.mark.parametrize("module", ["oracle", "graphs", "circulant"])
 def test_oracle_layers_import_only_ratq(module):
     assert package_imports(_tree(module)) == {"ratq"}
+
+
+def test_circulant_states_nothing_of_the_wheel():
+    """No circulant function takes the wheel order n or raises ResidueClassError."""
+    tree = _tree("circulant")
+    functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    takes_n = [
+        fn.name for fn in functions
+        if "n" in {a.arg for a in ast.walk(fn.args) if isinstance(a, ast.arg)}
+    ]
+    raises = [
+        fn.name for fn in functions for node in ast.walk(fn)
+        if isinstance(node, ast.Raise) and "ResidueClassError" in ast.unparse(node)
+    ]
+    assert takes_n == [] and raises == []
 
 
 def test_closed_forms_import_no_oracle():

@@ -24,7 +24,6 @@ import pytest
 
 from wheelecc import closedform as cf
 from wheelecc import graphs
-from wheelecc.circulant import tridiagonal
 from wheelecc.oracle import bareiss_det, inertia_exact, rank_exact
 from wheelecc.ratq import MatrixQ, identity, mat_mul
 
@@ -38,7 +37,7 @@ def _matrices(n: int):
         graphs.bfs_distances(graphs.delete_cycle_edge(wheel))
     )
     yield cf.bordered_B(n)
-    yield tridiagonal(n, -2, -2, -2)
+    yield cf.tridiagonal(n, -2, -2, -2)
 
 
 def _unit_lower(rng: random.Random, n: int) -> MatrixQ:
