@@ -1,12 +1,14 @@
 """Per-n verification checks: every closed form against its independent oracle.
 
 Each check is one `CHECKS` row: a fixed schema name (the coverage manifest
-consumed by CI), an applicability rule over the residue class of n mod 3,
-and a runner that returns serialized expected/actual values.  A runner
-compares the paper's side, a `closedform` statement read as `cf.<name>` at
-run time, with a measurement from `VerifyContext`; only the runners that
-compute more than that, or serve two rows, are named functions here.  The
-CLI's verify and sweep commands are thin wrappers over `run_checks`.
+consumed by CI), the residue classes of n mod 3 where it applies (the
+`closedform` sets `INVERTIBLE` and `SINGULAR`, or `ALL`, their union), a
+least n, and a runner that returns serialized expected/actual values.  A
+runner compares the paper's side, a `closedform` statement read as
+`cf.<name>` at run time, with a measurement from `VerifyContext`; only the
+runners that compute more than that, or serve two rows, are named functions
+here.  The CLI's verify and sweep commands are thin wrappers over
+`run_checks`.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from . import oracle
 from .circulant import (
     CirculantQ, circ_mul, is_symmetric_in_last_coords, period3_row_product, to_dense,
 )
+from .closedform import INVERTIBLE, SINGULAR
 from .ratq import (
     DEFAULT_REPORT_TOL, MatrixQ, VectorQ, identity, int_rows, mat_mul, ones_vector,
     rat_str, valid_int, valid_tol,
@@ -145,9 +148,7 @@ class Check:
         return None
 
 
-ALL = frozenset({0, 1, 2})
-INVERTIBLE = frozenset({0, 2})
-SINGULAR = frozenset({1})
+ALL = INVERTIBLE | SINGULAR
 
 
 def _scalar(expected: Fraction | int, actual: Fraction | int) -> tuple[str, str, bool]:
@@ -408,8 +409,8 @@ CHECKS: tuple[Check, ...] = (
     Check("lemma_Pe", SINGULAR, _chk_block_row_sums),
     Check("lemma_PV", SINGULAR,
           lambda ctx: _circ_eq(cf.PV_closed(ctx.n), circ_mul(ctx.block, cf.v_circulant(ctx.n)))),
-    Check("lemma_PU", SINGULAR, lambda ctx: _circ_eq(cf.PU_closed(ctx.n), circ_mul(
-        ctx.block, CirculantQ(VectorQ([1, 1] + [0] * (ctx.n - 4) + [1]))))),  # P Ubar
+    Check("lemma_PU", SINGULAR, lambda ctx: _circ_eq(
+        cf.PU_closed(ctx.n), circ_mul(ctx.block, cf.ubar_circulant(ctx.n)))),
     Check("lemma_LhatE", SINGULAR, lambda ctx: _mat_eq(cf.lhat_E_closed(ctx.n), ctx.LE)),
     Check("pinv_thm_6_6", SINGULAR, _chk_pinv),
     Check("pinv_XE_structure", SINGULAR, lambda ctx: _mat_eq(cf.pinv_XE_closed(ctx.n), ctx.XE)),

@@ -8,16 +8,18 @@ inverse, the circulant lemmas and the products L E and X E the paper writes
 down, the spectral radius, the non-EDM witness vectors and the rank
 certificate of Lemma 6.9.  Each is the paper's side of one or more checks
 in `checks`, which only compare.  Every rule over the residue class of n
-mod 3 lives here (`ResidueClassError`); `circulant` holds only the algebra
-of an arbitrary circulant.  Independent definitional verifiers live in
-`oracle`; nothing here row-reduces or eliminates.
+mod 3 lives here: the classes `INVERTIBLE` and `SINGULAR`, which the check
+registry reads, and one guard, `_require_case`, the only place that raises
+`ResidueClassError`; `circulant` holds only the algebra of an arbitrary
+circulant.  Independent definitional verifiers live in `oracle`; nothing
+here row-reduces or eliminates.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Collection, NamedTuple
 
 from .circulant import CirculantQ, to_dense
 from .ratq import (
@@ -55,16 +57,25 @@ class SpectralRadiusResult(NamedTuple):
         return [(self.n - 1) / self.rho_float] + [1.0] * (self.n - 1)
 
 
-def _require(n: int, minimum: int = 5) -> None:
-    if n < minimum:
-        raise ValueError(f"need n >= {minimum}, got {n}")
+# n mod 3 where E is invertible, and where the pseudoinverse formula applies instead
+INVERTIBLE = frozenset({0, 2})
+SINGULAR = frozenset({1})
 
 
-def _require_case(n: int, singular: bool, what: str) -> None:
-    """ResidueClassError unless n is in the singular (n % 3 == 1) or the invertible case."""
-    if (n % 3 == 1) != singular or n < 5:
-        case = "n % 3 == 1 and n >= 7" if singular else "n % 3 != 1 and n >= 5"
-        raise ResidueClassError(f"{what} needs {case}, got n = {n}")
+def _require(n: int) -> None:
+    if n < 5:
+        raise ValueError(f"need n >= 5, got {n}")
+
+
+def _require_case(n: int, residues: Collection[int], what: str, min_n: int = 5) -> None:
+    """ResidueClassError unless n % 3 is in residues and n >= min_n.
+
+    The message names `what` and the least valid n (7 for the singular class).
+    """
+    if n % 3 not in residues or n < min_n:
+        least = next(m for m in range(min_n, min_n + 3) if m % 3 in residues)
+        classes = " or ".join(map(str, sorted(residues)))
+        raise ResidueClassError(f"{what} needs n % 3 == {classes} and n >= {least}, got n = {n}")
 
 
 def wheel_u(n: int) -> VectorQ:
@@ -239,8 +250,7 @@ def null_vectors(n: int) -> tuple[VectorQ, VectorQ]:
     x = (0, 1,0,-1, 1,0,-1, ...) and y = (0, 0,1,-1, 0,1,-1, ...), each with
     (n-1)/3 repeated blocks.
     """
-    if n % 3 != 1 or n < 7:
-        raise ResidueClassError(f"null vectors need n % 3 == 1 and n >= 7, got n = {n}")
+    _require_case(n, SINGULAR, "nullvecs")
     k = (n - 1) // 3
     x = VectorQ([0] + [1, 0, -1] * k)
     y = VectorQ([0] + [0, 1, -1] * k)
@@ -264,6 +274,7 @@ def _c_sum(n: int, terms) -> VectorQ:
 
 def combination_x(n: int) -> VectorQ:
     """Linear-combination form of the n % 3 == 2 defining vector, by parity of n."""
+    _require_case(n, {2}, "the c_k form of x")
     terms = [(2 - n, 0)]
     if n % 2 == 0:
         for k in range(1, (n - 2) // 6 + 1):
@@ -278,6 +289,7 @@ def combination_x(n: int) -> VectorQ:
 
 def combination_y(n: int) -> VectorQ:
     """Linear-combination form of the n % 3 == 0 defining vector, by parity of n."""
+    _require_case(n, {0}, "the c_k form of y")
     terms = [(-n, 0)]
     if n % 2 == 0:
         for k in range(1, n // 6 + 1):
@@ -296,8 +308,7 @@ def special_x(n: int) -> VectorQ:
     The check registry compares it with its linear-combination form,
     `combination_x`.
     """
-    if n % 3 != 2 or n < 5:
-        raise ResidueClassError(f"this vector needs n % 3 == 2 and n >= 5, got n = {n}")
+    _require_case(n, {2}, "x")
     return VectorQ([2 - n] + [1, -2, 1] * ((n - 2) // 3))
 
 
@@ -307,8 +318,7 @@ def special_y(n: int) -> VectorQ:
     The check registry compares it with its linear-combination form,
     `combination_y`.
     """
-    if n % 3 != 0 or n < 6:
-        raise ResidueClassError(f"this vector needs n % 3 == 0 and n >= 6, got n = {n}")
+    _require_case(n, {0}, "y")
     return VectorQ([-n] + [2, -1, -1] * ((n - 3) // 3) + [2])
 
 
@@ -319,8 +329,7 @@ def special_z(n: int) -> VectorQ:
     unlike special_x/special_y there is no short closed pattern.  The check
     registry verifies its palindromic tail and coordinate sum (n-1)(2-n).
     """
-    if n % 3 != 1 or n < 7:
-        raise ResidueClassError(f"this vector needs n % 3 == 1 and n >= 7, got n = {n}")
+    _require_case(n, SINGULAR, "z")
     if n % 2 == 0:
         pairs, singles, last = (n - 4) // 6, (n - 4) // 6, n // 2 - 1
     else:
@@ -338,16 +347,14 @@ def special_z(n: int) -> VectorQ:
 
 def m_circulant(n: int) -> CirculantQ:
     """Cyclic block M = (1/3) cir(defining pattern) of the invertible-case Laplacian."""
-    if n % 3 == 1 or n < 5:
-        raise ResidueClassError(f"M needs n % 3 != 1 and n >= 5, got n = {n}")
+    _require_case(n, INVERTIBLE, "M")
     base = special_x(n) if n % 3 == 2 else special_y(n)
     return CirculantQ(base.scaled(Fraction(1, 3)))
 
 
 def p_circulant(n: int) -> CirculantQ:
     """Cyclic block P = cir(defining vector) / (3(n-1)) of the singular-case Laplacian."""
-    if n % 3 != 1 or n < 7:
-        raise ResidueClassError(f"P needs n % 3 == 1 and n >= 7, got n = {n}")
+    _require_case(n, SINGULAR, "P")
     return CirculantQ(special_z(n).scaled(Fraction(1, 3 * (n - 1))))
 
 
@@ -363,13 +370,13 @@ def block_e_closed(n: int) -> VectorQ:
 
 def MU_closed(n: int) -> CirculantQ:
     """Lemma Si: M U = cir(-4, 2, 4-2n, ..., 4-2n, 2) / 3, with U = cir(wheel_u(n))."""
-    _require_case(n, False, "M U")
+    _require_case(n, INVERTIBLE, "M U")
     return CirculantQ(VectorQ(Fraction(x, 3) for x in [-4, 2] + [4 - 2 * n] * (n - 4) + [2]))
 
 
 def v_circulant(n: int) -> CirculantQ:
     """V = cir(2, -1, -1, ..., 2, -1, -1) of order n-1, for n % 3 == 1."""
-    _require_case(n, True, "V")
+    _require_case(n, SINGULAR, "V")
     return CirculantQ(VectorQ([2, -1, -1] * ((n - 1) // 3)))
 
 
@@ -378,12 +385,18 @@ def PV_closed(n: int) -> CirculantQ:
     return CirculantQ(v_circulant(n).first_row.scaled(Fraction(1 - n, 3)))
 
 
+def ubar_circulant(n: int) -> CirculantQ:
+    """Ubar = cir(1, 1, 0, ..., 0, 1) of order n-1, for n % 3 == 1."""
+    _require_case(n, SINGULAR, "Ubar")
+    return CirculantQ(VectorQ([1, 1] + [0] * (n - 4) + [1]))
+
+
 def PU_closed(n: int) -> CirculantQ:
-    """Lemma PU: P Ubar = cir(zp) / (3(n-1)), with Ubar = cir(1, 1, 0, ..., 0, 1).
+    """Lemma PU: P Ubar = cir(zp) / (3(n-1)), with Ubar = `ubar_circulant(n)`.
 
     zp = (5n-n^2-10, 2n-n^2+2, 3, -6, 3, ..., 3, -6, 3, 2n-n^2+2).
     """
-    _require_case(n, True, "P Ubar")
+    _require_case(n, SINGULAR, "P Ubar")
     zp = [5 * n - n * n - 10, 2 * n - n * n + 2] + [3, -6, 3] * ((n - 4) // 3) + [2 * n - n * n + 2]
     return CirculantQ(VectorQ(Fraction(x, 3 * (n - 1)) for x in zp))
 
@@ -400,11 +413,13 @@ def laplacian_tilde(n: int) -> MatrixQ:
 
     Built as ((n-1)/3) I - (1/3) [[0,e'],[e,0]] + blockdiag(0, M).
     """
+    _require_case(n, INVERTIBLE, "Ltilde")
     return _laplacian_from_block(n, m_circulant(n))
 
 
 def laplacian_hat(n: int) -> MatrixQ:
     """Laplacian-like matrix of the pseudoinverse formula (n % 3 == 1): rank n-3."""
+    _require_case(n, SINGULAR, "Lhat")
     return _laplacian_from_block(n, p_circulant(n))
 
 
@@ -438,28 +453,20 @@ def inverse_E_closed(n: int) -> MatrixQ:
     (see det_E_closed) and the pseudoinverse formula applies instead.
     """
     _require(n)
-    if n % 3 == 1:
-        raise ResidueClassError(
-            f"n = {n} has n % 3 == 1, where the matrix is singular (det = 0, "
-            "check det_thm_3_4); use pinv_E_closed"
-        )
+    _require_case(n, INVERTIBLE, "inverse (E is singular when n % 3 == 1; use pinv_E_closed)")
     return inverse_formula(laplacian_tilde(n), weight_w(n))
 
 
 def pinv_E_closed(n: int) -> MatrixQ:
     """Moore-Penrose inverse for the singular case: -(1/2) Lhat + (6/(n-1)) w w'."""
     _require(n)
-    if n % 3 != 1 or n < 7:
-        raise ResidueClassError(
-            f"the pseudoinverse formula needs n % 3 == 1 and n >= 7, got n = {n}; "
-            "the matrix is invertible otherwise, use inverse_E_closed"
-        )
+    _require_case(n, SINGULAR, "pinv (E is invertible otherwise; use inverse_E_closed)")
     return inverse_formula(laplacian_hat(n), weight_w(n))
 
 
 def ltilde_E_closed(n: int) -> MatrixQ:
     """Identity (5.1): Ltilde E = 2 w e' - 2I, with 2 w = (7-n, 1, ..., 1)/3."""
-    _require_case(n, False, "Ltilde E")
+    _require_case(n, INVERTIBLE, "Ltilde E")
     return MatrixQ.from_ints(([x] * n for x in [7 - n] + [1] * (n - 1)), 3) - identity(n).scaled(2)
 
 
@@ -469,7 +476,7 @@ def lhat_E_closed(n: int) -> MatrixQ:
     The hub row is ((1-n)/3, (7-n)/3, ..., (7-n)/3); below it a column of 1/3
     borders cir(vp)/3, vp = (17-5n, n-7, n-7, n+11, ..., n-7, n-7, n+11, n-7, n-7)/(n-1).
     """
-    _require_case(n, True, "Lhat E")
+    _require_case(n, SINGULAR, "Lhat E")
     d = n - 1
     vp = [17 - 5 * n] + [n - 7, n - 7, n + 11] * ((n - 4) // 3) + [n - 7, n - 7]
     rows = [[(1 - n) * d] + [(7 - n) * d] * d]
@@ -494,8 +501,7 @@ def rank_certificate(n: int) -> tuple[MatrixQ, MatrixQ]:
     X is bordered cyclic over three zero rows, C is 3I over three padding rows
     (-1, then repeated (-3,0,0), (0,-3,0) or (0,0,-3)).
     """
-    if n % 3 != 1 or n < 10:
-        raise ResidueClassError(f"the rank certificate needs n % 3 == 1 and n >= 10, got n = {n}")
+    _require_case(n, SINGULAR, "the rank certificate", min_n=10)
     x_rows = [[n - 10] + [n - 7] * (n - 4)]  # X over the denominator 2
     s = [-6, 0, 0] + [-3, 0, 0] * ((n - 7) // 3)  # 3 cir(-2,0,0,-1,0,0,...): one shift per row
     for _ in range(n - 4):

@@ -9,10 +9,9 @@ vertex i+1 of the usual labelling (hub first, then the cycle in order).
 from __future__ import annotations
 
 from collections import deque
-from fractions import Fraction
 from typing import NamedTuple
 
-from .ratq import MatrixQ, VectorQ, int_rows
+from .ratq import MatrixQ, int_rows
 
 
 class GraphError(ValueError):
@@ -92,8 +91,12 @@ def bfs_distances(g: Graph) -> MatrixQ:
     return MatrixQ.from_ints(rows)
 
 
-def _distance_ints(d: MatrixQ) -> tuple[list[list[int]], int]:
-    """d over one positive denominator (`int_rows`), once d is checked to be a distance matrix."""
+def eccentricity_matrix_definitional(d: MatrixQ) -> MatrixQ:
+    """Keep d(i,j) where it attains min(ecc(i), ecc(j)); zero elsewhere.
+
+    Computed on d's integer rows, once d is checked to be a distance matrix:
+    scaling by a positive denominator keeps every maximum and every equality.
+    """
     if d.rows != d.cols:
         raise GraphError("distance matrix must be square")
     a, den = int_rows(d)
@@ -101,22 +104,6 @@ def _distance_ints(d: MatrixQ) -> tuple[list[list[int]], int]:
         raise GraphError("distance matrix must have zero diagonal")
     if not d.is_symmetric():
         raise GraphError("distance matrix must be symmetric")
-    return a, den
-
-
-def eccentricities(d: MatrixQ) -> VectorQ:
-    """Per-vertex eccentricity: the maximum entry of each distance-matrix row."""
-    a, den = _distance_ints(d)
-    return VectorQ(Fraction(max(r), den) for r in a)
-
-
-def eccentricity_matrix_definitional(d: MatrixQ) -> MatrixQ:
-    """Keep d(i,j) where it attains min(ecc(i), ecc(j)); zero elsewhere.
-
-    Computed on d's integer rows: scaling by a positive denominator keeps
-    every maximum and every equality.
-    """
-    a, den = _distance_ints(d)
     ecc = [max(r) for r in a]
     return MatrixQ.from_ints(
         ([x if i != j and x == min(ecc[i], ecc[j]) else 0 for j, x in enumerate(r)]

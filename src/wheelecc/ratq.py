@@ -48,10 +48,6 @@ class InertiaTriple(NamedTuple):
     n_zero: int
 
     @property
-    def order(self) -> int:
-        return self.n_plus + self.n_minus + self.n_zero
-
-    @property
     def rank(self) -> int:
         return self.n_plus + self.n_minus
 
@@ -161,8 +157,8 @@ class MatrixQ:
 
     @classmethod
     def from_ints(cls, rows: Iterable[Iterable[int]], den: int = 1) -> "MatrixQ":
-        """The matrix rows / den, from rows of Python ints (copied) and a denominator den > 0."""
-        if den < 1:
+        """rows / den, from rows of Python ints (copied, not type-checked) and an int den >= 1."""
+        if valid_int("den", den) < 1:
             raise ValueError(f"denominator must be a positive int, got {den}")
         m = cls.__new__(cls)
         m._q, m._z = None, (tuple(map(tuple, rows)), den)

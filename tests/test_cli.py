@@ -79,6 +79,14 @@ def test_gen_lhat_wrong_residue(capsys):
     assert "n % 3 == 1" in err
 
 
+@pytest.mark.parametrize("obj, n", [("Ltilde", 7), ("Lhat", 8), ("Ltilde", 4), ("Lhat", 4)])
+def test_gen_laplacian_outside_its_class_names_itself(capsys, obj, n):
+    """Each Laplacian checks its class under its own name, not that of its cyclic block."""
+    code, out, err = run_main(capsys, ["gen", obj, str(n)])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {obj} needs n % 3 == ")
+
+
 def test_gen_csv_round_trip(capsys):
     code, out, _ = run_main(capsys, ["gen", "E", "5", "--format", "csv"])
     assert code == 0
@@ -872,6 +880,7 @@ STATEMENT_READERS = {
     "v_circulant": {13: {"lemma_2_1_period3", "lemma_PV", "pinv_XE_structure"}},
     "PV_closed": {13: {"lemma_PV"}},
     "PU_closed": {13: {"lemma_PU"}},
+    "ubar_circulant": {13: {"lemma_PU"}},
     "lhat_E_closed": {13: {"lemma_LhatE"}},
     "pinv_XE_closed": {13: {"pinv_XE_structure"}},
     "combination_x": {14: {"lemma_5_1_patterns"}},

@@ -42,9 +42,11 @@ from wheelecc.closedform import (
     quotient_matrix,
     rank_E_closed,
     rank_L_closed,
+    rank_certificate,
     spectral_radius_closed,
     special_z,
     tridiagonal,
+    ubar_circulant,
     v_circulant,
     weight_w,
     wheel_u,
@@ -225,7 +227,7 @@ def test_inertia_E_examples():
 def test_inertia_arithmetic_invariants():
     for n in range(5, 31):
         tri = inertia_E_closed(n)
-        assert tri.order == n
+        assert sum(tri) == n
         assert tri.rank == rank_E_closed(n)
         assert (tri.n_zero == 2) == (n % 3 == 1)
         det = det_E_closed(n)
@@ -233,7 +235,7 @@ def test_inertia_arithmetic_invariants():
             sign = 1 if det > 0 else -1
             assert sign == (-1) ** tri.n_minus
         tri_me = inertia_E_minus_edge_closed(n)
-        assert tri_me.order == n
+        assert sum(tri_me) == n
         det_me = det_E_minus_edge_closed(n)
         if det_me != 0:
             assert (1 if det_me > 0 else -1) == (-1) ** tri_me.n_minus
@@ -370,6 +372,39 @@ def test_inverse_formulas_reject_n_below_five_before_the_residue_class(builder):
 def test_case_statements_reject_the_other_residue_class(builder, outside):
     with pytest.raises(ResidueClassError, match="needs n % 3"):
         builder(outside)
+
+
+@pytest.mark.parametrize(
+    "builder, n, what",
+    [(combination_x, 1, "the c_k form of x"), (combination_x, 7, "the c_k form of x"),
+     (combination_y, 8, "the c_k form of y"), (laplacian_tilde, 7, "Ltilde"),
+     (laplacian_hat, 8, "Lhat"), (ubar_circulant, 9, "Ubar")],
+)
+def test_each_case_statement_names_itself_outside_its_class(builder, n, what):
+    with pytest.raises(ResidueClassError, match=f"^{what} needs n % 3 == "):
+        builder(n)
+
+
+@pytest.mark.parametrize(
+    "builder, n, least",
+    [(laplacian_hat, 4, 7), (p_circulant, 5, 7), (combination_y, 5, 6),
+     (combination_x, 4, 5), (laplacian_tilde, 4, 5), (rank_certificate, 7, 10)],
+)
+def test_residue_class_error_names_the_least_valid_n(builder, n, least):
+    with pytest.raises(ResidueClassError, match=f"and n >= {least}, got n = {n}$"):
+        builder(n)
+
+
+def test_registry_reads_the_residue_classes_of_closedform():
+    from wheelecc import checks, closedform
+
+    assert checks.INVERTIBLE is closedform.INVERTIBLE == {0, 2}
+    assert checks.SINGULAR is closedform.SINGULAR == {1}
+
+
+def test_ubar_circulant_frozen_7():
+    assert ubar_circulant(7).first_row == VectorQ([1, 1, 0, 0, 0, 1])
+    assert ubar_circulant(10).first_row == VectorQ([1, 1, 0, 0, 0, 0, 0, 0, 1])
 
 
 @pytest.mark.parametrize("n", range(5, 23))

@@ -136,7 +136,7 @@ def test_int_rows_returns_fresh_lists():
 def test_from_ints_validates_its_input():
     assert MatrixQ.from_ints([[2, -4]], 4) == MatrixQ([[Fraction(1, 2), -1]])
     assert MatrixQ.from_ints(([x, x + 1] for x in range(2))) == MatrixQ([[0, 1], [1, 2]])
-    for den in (0, -3):
+    for den in (0, -3, 2.5, True):
         with pytest.raises(ValueError):
             MatrixQ.from_ints([[1]], den)
     for rows in ([], [[]], [[1, 2], [3]]):

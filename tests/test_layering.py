@@ -4,8 +4,9 @@ The dual-route rule says a closed form is never checked against itself or a
 route derived from it.  These tests make the parts of that rule that show in
 the imports mechanical: the oracles, the graph ground truth and the
 circulant algebra depend on the scalar/matrix substrate `ratq` alone, no
-circulant function states anything of the wheel order n, the closed forms
-depend on no oracle, the definitional eccentricity matrices of the check
+circulant function states anything of the wheel order n, only the one guard
+of `closedform` raises its residue-class error, the closed forms depend on no
+oracle, the definitional eccentricity matrices of the check
 registry come from `graphs` calls only, the closed forms of E reach the
 registry only through the two checks that compare them with those, every
 check but a listed few takes the paper's side from `closedform`, the
@@ -76,6 +77,22 @@ def test_circulant_states_nothing_of_the_wheel():
         if isinstance(node, ast.Raise) and "ResidueClassError" in ast.unparse(node)
     ]
     assert takes_n == [] and raises == []
+
+
+def test_closedform_raises_residue_class_error_only_in_its_guard():
+    """Each case rule is stated once: the builders call `_require_case`, which alone raises."""
+    tree = _tree("closedform")
+    raisers = sorted(
+        fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Raise) and "ResidueClassError" in ast.unparse(node)
+    )
+    assert raisers == ["_require_case"]
+    # and none outside a function
+    assert not any(
+        isinstance(node, ast.Raise) for top in tree.body
+        if not isinstance(top, (ast.FunctionDef, ast.ClassDef)) for node in ast.walk(top)
+    )
 
 
 def test_closed_forms_import_no_oracle():

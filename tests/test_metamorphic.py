@@ -1,12 +1,16 @@
 """Metamorphic relations: each holds without a reference route.
 
 The eliminations: a seeded unit-triangular integer U keeps det, rank and
-inertia under the congruence U A U'.  Scaling by c multiplies det by c^n,
-keeps the rank, and for c < 0 swaps n_plus and n_minus; c = -1/2 also makes
-the entries non-integral.  Both the symmetric congruence (`inertia_exact`,
-which also gives det and rank) and the forward pass (`bareiss_det`,
-`rank_exact`) are held to these on the BFS-built E and E_minus_edge, the
-bordered tridiagonal B and T = tridiagonal(n, -2, -2, -2).
+inertia under the congruence U A U', and any seeded nonsingular integer U
+multiplies det by det(U)^2 and keeps rank and inertia (Sylvester's law).
+Scaling by c multiplies det by c^n, keeps the rank, and for c < 0 swaps
+n_plus and n_minus; c = -1/2 also makes the entries non-integral.  A column
+A x appended to A keeps the rank.  Both the symmetric congruence
+(`inertia_exact`, which also gives det and rank) and the forward pass
+(`bareiss_det`, `rank_exact`) are held to these on the BFS-built E and
+E_minus_edge, the bordered tridiagonal B and T = tridiagonal(n, -2, -2, -2),
+and at a few larger n on the closed-form L (Ltilde or Lhat) and X, whose
+denominators exceed 1.
 
 BFS: relabelling the vertices of a wheel (or of a wheel less a cycle edge)
 by a permutation P turns its eccentricity matrix E into P E P', and keeps
@@ -17,27 +21,37 @@ shapes, 1 x k shapes, all-zero rows and denominators above 1 included, and
 on the wheel's own L, E and X.
 """
 
+import math
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
 from wheelecc import closedform as cf
 from wheelecc import graphs
 from wheelecc.oracle import bareiss_det, inertia_exact, rank_exact
-from wheelecc.ratq import MatrixQ, identity, mat_mul
+from wheelecc.ratq import MatrixQ, identity, int_rows, mat_mul
 
 ORDERS = (5, 13, 21, 29, 30)  # every class mod 3, up to n = 30
+FORMULA_ORDERS = (13, 26, 36)  # L and X, every class mod 3
+ELIMINATION_ORDERS = sorted(set(ORDERS) | set(FORMULA_ORDERS))
 
 
 def _matrices(n: int):
-    wheel = graphs.build_wheel(n)
-    yield graphs.eccentricity_matrix_definitional(graphs.bfs_distances(wheel))
-    yield graphs.eccentricity_matrix_definitional(
-        graphs.bfs_distances(graphs.delete_cycle_edge(wheel))
-    )
-    yield cf.bordered_B(n)
-    yield cf.tridiagonal(n, -2, -2, -2)
+    """E and E_minus_edge from BFS, B and T at ORDERS; L and X at FORMULA_ORDERS."""
+    if n in ORDERS:
+        wheel = graphs.build_wheel(n)
+        yield graphs.eccentricity_matrix_definitional(graphs.bfs_distances(wheel))
+        yield graphs.eccentricity_matrix_definitional(
+            graphs.bfs_distances(graphs.delete_cycle_edge(wheel))
+        )
+        yield cf.bordered_B(n)
+        yield cf.tridiagonal(n, -2, -2, -2)
+    if n in FORMULA_ORDERS:
+        lap = cf.laplacian_hat(n) if n % 3 == 1 else cf.laplacian_tilde(n)
+        yield lap
+        yield cf.inverse_formula(lap, cf.weight_w(n))
 
 
 def _unit_lower(rng: random.Random, n: int) -> MatrixQ:
@@ -57,6 +71,40 @@ def test_unit_triangular_congruence_keeps_det_rank_and_inertia(n):
     for a in _matrices(n):
         u = _unit_lower(rng, n)
         assert _measures(mat_mul(mat_mul(u, a), u.transpose())) == _measures(a)
+
+
+def _nonsingular(rng: random.Random, n: int) -> tuple[MatrixQ, int]:
+    """(U, det U) for U = L D' with a seeded unit-upper L and lower D, diagonal entries of D +-1, +-2.
+
+    One diagonal entry of D is 2, so |det U| >= 2.
+    """
+    d = [rng.choice((1, -1, 2, -2)) for _ in range(n)]
+    d[rng.randrange(n)] = 2
+    lower = MatrixQ.from_ints(
+        [d[i] if i == j else rng.randint(-1, 1) if i > j else 0 for j in range(n)] for i in range(n)
+    )
+    return mat_mul(_unit_lower(rng, n).transpose(), lower.transpose()), math.prod(d)
+
+
+@pytest.mark.parametrize("n", ELIMINATION_ORDERS)
+def test_nonsingular_congruence_scales_det_by_det_u_squared_and_keeps_rank_and_inertia(n):
+    rng = random.Random(3600 + n)
+    for a in _matrices(n):
+        u, det_u = _nonsingular(rng, n)
+        assert abs(det_u) >= 2
+        det, inertia, det_fwd, rank = _measures(a)
+        got = _measures(mat_mul(mat_mul(u, a), u.transpose()))
+        assert got == (det_u**2 * det, inertia, det_u**2 * det_fwd, rank)
+
+
+@pytest.mark.parametrize("n", ELIMINATION_ORDERS)
+def test_appending_a_column_a_x_keeps_the_rank(n):
+    rng = random.Random(4500 + n)
+    for a in _matrices(n):
+        ints, den = int_rows(a)
+        x = [rng.randint(-3, 3) for _ in range(n)]
+        wider = MatrixQ.from_ints((r + [sum(map(mul, r, x))] for r in ints), den)
+        assert rank_exact(wider) == rank_exact(a)
 
 
 @pytest.mark.parametrize("n", ORDERS)
