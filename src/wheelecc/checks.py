@@ -1,14 +1,13 @@
 """Per-n verification checks: every closed form against its independent oracle.
 
 Each check is one `CHECKS` row: a fixed schema name (the coverage manifest
-consumed by CI), the residue classes of n mod 3 where it applies (the
-`closedform` sets `INVERTIBLE` and `SINGULAR`, or `ALL`, their union), a
-least n, and a runner that returns serialized expected/actual values.  A
-runner compares the paper's side, a `closedform` statement read as
-`cf.<name>` at run time, with a measurement from `VerifyContext`; only the
-runners that compute more than that, or serve two rows, are named functions
-here.  The CLI's verify and sweep commands are thin wrappers over
-`run_checks`.
+consumed by CI), the `closedform.Case` where it runs (the residues of n mod
+3 and the least n, stated once there; elsewhere the row is skipped), and a
+runner that returns serialized expected/actual values.  A runner compares
+the paper's side, a `closedform` statement read as `cf.<name>` at run time,
+with a measurement from `VerifyContext`; only the runners that compute more
+than that, or serve two rows, are named functions here.  The CLI's verify
+and sweep commands are thin wrappers over `run_checks`.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from . import oracle
 from .circulant import (
     CirculantQ, circ_mul, is_symmetric_in_last_coords, period3_row_product, to_dense,
 )
-from .closedform import INVERTIBLE, SINGULAR
+from .closedform import INTERLACING, INVERTIBLE, PATTERN_X, RANK_CERTIFICATE, SINGULAR, WHEEL, Case
 from .ratq import (
     DEFAULT_REPORT_TOL, MatrixQ, VectorQ, identity, int_rows, mat_mul, ones_vector,
     rat_str, valid_int, valid_tol,
@@ -88,12 +87,14 @@ class VerifyContext:
 
     @cached_property
     def block(self) -> CirculantQ:
-        """M for n % 3 != 1, P for n % 3 == 1."""
-        return cf.m_circulant(self.n) if self.n % 3 != 1 else cf.p_circulant(self.n)
+        """M where E is invertible, P where it is singular."""
+        return cf.p_circulant(self.n) if INVERTIBLE.excludes(self.n) else cf.m_circulant(self.n)
 
     @cached_property
     def L(self) -> MatrixQ:
-        return cf.laplacian_tilde(self.n) if self.n % 3 != 1 else cf.laplacian_hat(self.n)
+        """Ltilde where E is invertible, Lhat where it is singular."""
+        n = self.n
+        return cf.laplacian_hat(n) if INVERTIBLE.excludes(n) else cf.laplacian_tilde(n)
 
     @cached_property
     def w(self) -> VectorQ:
@@ -135,20 +136,8 @@ Runner = Callable[[VerifyContext], tuple[str, str, bool]]
 @dataclass(frozen=True)
 class Check:
     name: str
-    residues: frozenset[int]  # applicable n % 3 classes
+    case: Case  # where it runs; skipped elsewhere
     run: Runner
-    min_n: int = 5
-
-    def applicable(self, n: int) -> str | None:
-        """None when runnable, else a skip reason."""
-        if n % 3 not in self.residues:
-            return f"not applicable for n % 3 == {n % 3}"
-        if n < self.min_n:
-            return f"needs n >= {self.min_n}"
-        return None
-
-
-ALL = INVERTIBLE | SINGULAR
 
 
 def _scalar(expected: Fraction | int, actual: Fraction | int) -> tuple[str, str, bool]:
@@ -225,10 +214,10 @@ def _chk_nullvec(ctx):
 
 def _chk_patterns(ctx):
     n = ctx.n
-    if n % 3 == 2:
-        v, combination = cf.special_x(n), cf.combination_x(n)
-    else:
+    if PATTERN_X.excludes(n):
         v, combination = cf.special_y(n), cf.combination_y(n)
+    else:
+        v, combination = cf.special_x(n), cf.combination_x(n)
     ok = v == combination and _palindromic_summing_to(v, cf.pattern_sum_closed(n))
     return _holds("pattern == combination form, palindromic tail, sum 2-n", ok)
 
@@ -355,34 +344,35 @@ def _chk_edm_witness(ctx):
 # patched or wrapped after import (by a tracer, say) is the one compared.
 CHECKS: tuple[Check, ...] = (
     # determinants
-    Check("ecc_blockform_eq_2_5", ALL, lambda ctx: _mat_eq(ctx.E_def, cf.ecc_matrix_wheel(ctx.n))),
-    Check("ecc_minus_edge_sec_4", ALL,
+    Check("ecc_blockform_eq_2_5", WHEEL,
+          lambda ctx: _mat_eq(ctx.E_def, cf.ecc_matrix_wheel(ctx.n))),
+    Check("ecc_minus_edge_sec_4", WHEEL,
           lambda ctx: _mat_eq(ctx.E_me_def, cf.ecc_matrix_wheel_minus_edge(ctx.n))),
-    Check("det_tridiag_thm_3_1", ALL, lambda ctx: _scalar(
+    Check("det_tridiag_thm_3_1", WHEEL, lambda ctx: _scalar(
         cf.det_tridiagonal_closed(ctx.n, 3, 2, 1),
         oracle.bareiss_det(cf.tridiagonal(ctx.n, 3, 2, 1)))),
-    Check("det_T_lem_3_2", ALL, _chk_det_T),
-    Check("det_B_lem_3_3", ALL,
+    Check("det_T_lem_3_2", WHEEL, _chk_det_T),
+    Check("det_B_lem_3_3", WHEEL,
           lambda ctx: _scalar(cf.det_B_closed(ctx.n), oracle.bareiss_det(cf.bordered_B(ctx.n)))),
-    Check("recur_3_1", ALL, lambda ctx: _scalar(
+    Check("recur_3_1", WHEEL, lambda ctx: _scalar(
         cf.det_B_closed(ctx.n), 4 * cf.det_T_closed(ctx.n - 4) + 8 * cf.det_B_closed(ctx.n - 3))),
-    Check("recur_3_2", ALL, lambda ctx: _scalar(cf.det_E_closed(ctx.n), (
+    Check("recur_3_2", WHEEL, lambda ctx: _scalar(cf.det_E_closed(ctx.n), (
         -((ctx.n - 1) ** 2) * cf.det_T_closed(ctx.n - 2)
         + 6 * (ctx.n - 1) * cf.det_B_closed(ctx.n - 1)))),
-    Check("det_thm_3_4", ALL, lambda ctx: _scalar(cf.det_E_closed(ctx.n), ctx.E_cong.det)),
-    Check("det_minus_edge_rem_4_2", ALL,
+    Check("det_thm_3_4", WHEEL, lambda ctx: _scalar(cf.det_E_closed(ctx.n), ctx.E_cong.det)),
+    Check("det_minus_edge_rem_4_2", WHEEL,
           lambda ctx: _scalar(cf.det_E_minus_edge_closed(ctx.n), ctx.E_me_cong.det)),
     # Thm 3.5 follows from Thm 3.4; inverse_thm_5_8 ties E_inv to X and X to E
-    Check("invertible_thm_3_5", ALL, lambda ctx: _bool(
+    Check("invertible_thm_3_5", WHEEL, lambda ctx: _bool(
         cf.det_E_closed(ctx.n) != 0, ctx.E_inv is not None,
         "invertible" if ctx.E_inv is not None else "singular")),
     # inertia and rank
-    Check("inertia_lem_4_4", ALL,
+    Check("inertia_lem_4_4", WHEEL,
           lambda ctx: _inertia_pair(cf.inertia_E_minus_edge_closed(ctx.n), ctx.E_me_cong)),
-    Check("inertia_thm_4_6", ALL,
+    Check("inertia_thm_4_6", WHEEL,
           lambda ctx: _inertia_pair(cf.inertia_E_closed(ctx.n), ctx.E_cong)),
-    Check("interlace_thm_4_3", ALL, _chk_interlace, min_n=6),
-    Check("rank_thm_4_5", ALL,
+    Check("interlace_thm_4_3", INTERLACING, _chk_interlace),
+    Check("rank_thm_4_5", WHEEL,
           lambda ctx: _scalar(cf.rank_E_closed(ctx.n), ctx.E_cong.inertia.rank)),
     Check("nullvec_thm_4_5", SINGULAR, _chk_nullvec),
     # special vectors and circulant structure
@@ -390,16 +380,16 @@ CHECKS: tuple[Check, ...] = (
     Check("zvec_6_1_6_2", SINGULAR, lambda ctx: _holds(
         "palindromic tail, sum (n-1)(2-n)",
         _palindromic_summing_to(cf.special_z(ctx.n), cf.pattern_sum_closed(ctx.n)))),
-    Check("circ_symmetry", ALL, lambda ctx: _holds(
+    Check("circ_symmetry", WHEEL, lambda ctx: _holds(
         "palindromic tail gives symmetric circulant",
         is_symmetric_in_last_coords(ctx.block.first_row) and to_dense(ctx.block).is_symmetric())),
-    Check("circ_props_2_1_2_3", ALL, _chk_circ_props),
+    Check("circ_props_2_1_2_3", WHEEL, _chk_circ_props),
     Check("lemma_2_1_period3", SINGULAR, _chk_period3),
     # inverse-side identities
     Check("lemma_Me", INVERTIBLE, _chk_block_row_sums),
     Check("lemma_Si", INVERTIBLE,
           lambda ctx: _circ_eq(cf.MU_closed(ctx.n), circ_mul(ctx.block, ctx.u_circ))),
-    Check("identity_Ew_5_1", ALL, lambda ctx: _bool(
+    Check("identity_Ew_5_1", WHEEL, lambda ctx: _bool(
         True, ctx.E_def.mul_vec(ctx.w) == cf.Ew_closed(ctx.n), "E w = ((n-1)/6) e")),
     Check("identity_LE_5_1", INVERTIBLE, lambda ctx: _mat_eq(cf.ltilde_E_closed(ctx.n), ctx.LE)),
     Check("inverse_thm_5_8", INVERTIBLE, _chk_inverse),
@@ -416,12 +406,12 @@ CHECKS: tuple[Check, ...] = (
     Check("pinv_XE_structure", SINGULAR, lambda ctx: _mat_eq(cf.pinv_XE_closed(ctx.n), ctx.XE)),
     Check("laplike_Lhat", SINGULAR, _chk_laplike_L),
     Check("rank_Lhat_thm_6_10", SINGULAR, _chk_rank_L),
-    Check("rank_cert_lem_6_9", SINGULAR, _chk_rank_cert, min_n=10),
+    Check("rank_cert_lem_6_9", RANK_CERTIFICATE, _chk_rank_cert),
     # spectral and structural
-    Check("irreducible_prop_2_3", ALL, _chk_irreducible),
-    Check("spectral_radius_sec_2_4", ALL, _chk_spectral_radius),
-    Check("quotient_sec_2_4", ALL, _chk_quotient),
-    Check("edm_witness_prop_2_5", ALL, _chk_edm_witness),
+    Check("irreducible_prop_2_3", WHEEL, _chk_irreducible),
+    Check("spectral_radius_sec_2_4", WHEEL, _chk_spectral_radius),
+    Check("quotient_sec_2_4", WHEEL, _chk_quotient),
+    Check("edm_witness_prop_2_5", WHEEL, _chk_edm_witness),
 )
 
 
@@ -483,7 +473,7 @@ def run_checks(n: int, tol: float = DEFAULT_REPORT_TOL) -> VerificationReport:
     ctx = VerifyContext(n, tol)
     results = []
     for check in CHECKS:
-        reason = check.applicable(n)
+        reason = check.case.excludes(n)
         if reason is not None:
             results.append(CheckResult(check.name, "skip", "", reason, 0.0))
             continue

@@ -7,19 +7,21 @@ c_k terms), the two Laplacian-like matrices, the inverse and Moore-Penrose
 inverse, the circulant lemmas and the products L E and X E the paper writes
 down, the spectral radius, the non-EDM witness vectors and the rank
 certificate of Lemma 6.9.  Each is the paper's side of one or more checks
-in `checks`, which only compare.  Every rule over the residue class of n
-mod 3 lives here: the classes `INVERTIBLE` and `SINGULAR`, which the check
-registry reads, and one guard, `_require_case`, the only place that raises
-`ResidueClassError`; `circulant` holds only the algebra of an arbitrary
-circulant.  Independent definitional verifiers live in `oracle`; nothing
-here row-reduces or eliminates.
+in `checks`, which only compare.  Every rule over n mod 3, and every least
+n, lives here as a `Case` with one predicate, `Case.excludes`: the check
+registry's rows name these constants, and one guard, `_require_case(n,
+case, what)`, is the only place that raises `ResidueClassError`.  Every
+other statement of n calls the wheel guard `_require` (n >= 5), except E
+(from n = 4) and B and its determinant (from n = 2).  `circulant` holds
+only the algebra of an arbitrary circulant.  Independent definitional
+verifiers live in `oracle`; nothing here row-reduces or eliminates.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Collection, NamedTuple
+from typing import NamedTuple
 
 from .circulant import CirculantQ, to_dense
 from .ratq import (
@@ -57,24 +59,45 @@ class SpectralRadiusResult(NamedTuple):
         return [(self.n - 1) / self.rho_float] + [1.0] * (self.n - 1)
 
 
-# n mod 3 where E is invertible, and where the pseudoinverse formula applies instead
-INVERTIBLE = frozenset({0, 2})
-SINGULAR = frozenset({1})
+class Case(NamedTuple):
+    """Where a statement holds: n % 3 in `residues` and n >= `min_n`."""
+
+    residues: frozenset[int]
+    min_n: int = 5
+
+    def excludes(self, n: int) -> str | None:
+        """None where the statement holds at n, else why not (the registry's skip text)."""
+        if n % 3 not in self.residues:
+            return f"not applicable for n % 3 == {n % 3}"
+        if n < self.min_n:
+            return f"needs n >= {self.min_n}"
+        return None
+
+
+PATTERN_X = Case(frozenset({2}))  # the defining vector x and its c_k form
+PATTERN_Y = Case(frozenset({0}))  # the defining vector y and its c_k form
+INVERTIBLE = Case(PATTERN_X.residues | PATTERN_Y.residues)  # E is invertible
+SINGULAR = Case(frozenset({1}))  # the pseudoinverse formula applies instead
+WHEEL = Case(INVERTIBLE.residues | SINGULAR.residues)
+RANK_CERTIFICATE = Case(SINGULAR.residues, 10)  # Lemma 6.9's pair
+# Theorem 4.3 reads E_minus_edge at n - 1, which is a wheel statement from n - 1 = 5.
+INTERLACING = Case(WHEEL.residues, 6)
 
 
 def _require(n: int) -> None:
-    if n < 5:
-        raise ValueError(f"need n >= 5, got {n}")
+    """The wheel guard: ValueError unless n >= 5."""
+    if WHEEL.excludes(n):
+        raise ValueError(f"need n >= {WHEEL.min_n}, got {n}")
 
 
-def _require_case(n: int, residues: Collection[int], what: str, min_n: int = 5) -> None:
-    """ResidueClassError unless n % 3 is in residues and n >= min_n.
+def _require_case(n: int, case: Case, what: str) -> None:
+    """ResidueClassError where `case` excludes n.
 
     The message names `what` and the least valid n (7 for the singular class).
     """
-    if n % 3 not in residues or n < min_n:
-        least = next(m for m in range(min_n, min_n + 3) if m % 3 in residues)
-        classes = " or ".join(map(str, sorted(residues)))
+    if case.excludes(n):
+        least = next(m for m in range(case.min_n, case.min_n + 3) if m % 3 in case.residues)
+        classes = " or ".join(map(str, sorted(case.residues)))
         raise ResidueClassError(f"{what} needs n % 3 == {classes} and n >= {least}, got n = {n}")
 
 
@@ -241,6 +264,7 @@ def rank_E_closed(n: int) -> int:
 
 def rank_L_closed(n: int) -> int:
     """Rank of Ltilde (n - 1, Theorem 5.10) or, when n % 3 == 1, of Lhat (n - 3, Theorem 6.10)."""
+    _require(n)
     return n - 3 if n % 3 == 1 else n - 1
 
 
@@ -274,7 +298,7 @@ def _c_sum(n: int, terms) -> VectorQ:
 
 def combination_x(n: int) -> VectorQ:
     """Linear-combination form of the n % 3 == 2 defining vector, by parity of n."""
-    _require_case(n, {2}, "the c_k form of x")
+    _require_case(n, PATTERN_X, "the c_k form of x")
     terms = [(2 - n, 0)]
     if n % 2 == 0:
         for k in range(1, (n - 2) // 6 + 1):
@@ -289,7 +313,7 @@ def combination_x(n: int) -> VectorQ:
 
 def combination_y(n: int) -> VectorQ:
     """Linear-combination form of the n % 3 == 0 defining vector, by parity of n."""
-    _require_case(n, {0}, "the c_k form of y")
+    _require_case(n, PATTERN_Y, "the c_k form of y")
     terms = [(-n, 0)]
     if n % 2 == 0:
         for k in range(1, n // 6 + 1):
@@ -308,7 +332,7 @@ def special_x(n: int) -> VectorQ:
     The check registry compares it with its linear-combination form,
     `combination_x`.
     """
-    _require_case(n, {2}, "x")
+    _require_case(n, PATTERN_X, "x")
     return VectorQ([2 - n] + [1, -2, 1] * ((n - 2) // 3))
 
 
@@ -318,7 +342,7 @@ def special_y(n: int) -> VectorQ:
     The check registry compares it with its linear-combination form,
     `combination_y`.
     """
-    _require_case(n, {0}, "y")
+    _require_case(n, PATTERN_Y, "y")
     return VectorQ([-n] + [2, -1, -1] * ((n - 3) // 3) + [2])
 
 
@@ -360,11 +384,13 @@ def p_circulant(n: int) -> CirculantQ:
 
 def pattern_sum_closed(n: int) -> int:
     """Coordinate sum of the block's defining vector: 2-n, or (n-1)(2-n) for special_z."""
+    _require(n)
     return (n - 1) * (2 - n) if n % 3 == 1 else 2 - n
 
 
 def block_e_closed(n: int) -> VectorQ:
     """Lemmas Me and Pe: the cyclic block, M or (n % 3 == 1) P, times e is ((2-n)/3) e."""
+    _require(n)
     return ones_vector(n - 1).scaled(Fraction(2 - n, 3))
 
 
@@ -382,6 +408,7 @@ def v_circulant(n: int) -> CirculantQ:
 
 def PV_closed(n: int) -> CirculantQ:
     """Lemma PV: P V = ((1-n)/3) V."""
+    _require_case(n, SINGULAR, "P V")
     return CirculantQ(v_circulant(n).first_row.scaled(Fraction(1 - n, 3)))
 
 
@@ -431,6 +458,7 @@ def weight_w(n: int) -> VectorQ:
 
 def Ew_closed(n: int) -> VectorQ:
     """E w = ((n-1)/6) e."""
+    _require(n)
     return ones_vector(n).scaled(Fraction(n - 1, 6))
 
 
@@ -488,6 +516,7 @@ def lhat_E_closed(n: int) -> MatrixQ:
 
 def pinv_XE_closed(n: int) -> MatrixQ:
     """X E = I - blockdiag(0, V/(n-1)) for the Moore-Penrose inverse X (n % 3 == 1)."""
+    _require_case(n, SINGULAR, "X E")
     v, dv = int_rows(to_dense(v_circulant(n)))
     d = dv * (n - 1)
     rows = [[d] + [0] * (n - 1)]
@@ -501,7 +530,7 @@ def rank_certificate(n: int) -> tuple[MatrixQ, MatrixQ]:
     X is bordered cyclic over three zero rows, C is 3I over three padding rows
     (-1, then repeated (-3,0,0), (0,-3,0) or (0,0,-3)).
     """
-    _require_case(n, SINGULAR, "the rank certificate", min_n=10)
+    _require_case(n, RANK_CERTIFICATE, "the rank certificate")
     x_rows = [[n - 10] + [n - 7] * (n - 4)]  # X over the denominator 2
     s = [-6, 0, 0] + [-3, 0, 0] * ((n - 7) // 3)  # 3 cir(-2,0,0,-1,0,0,...): one shift per row
     for _ in range(n - 4):

@@ -156,10 +156,10 @@ def test_every_check_name_appears_exactly_once(capsys):
 
 
 def test_every_size_rule_excludes_some_n_of_its_residue_classes():
-    """A min_n above 5 that skips no n >= 5 in the check's classes says nothing."""
+    """A least n above 5 that skips no n >= 5 in the check's classes says nothing."""
     for c in checks.CHECKS:
-        if c.min_n > 5:
-            assert any(n % 3 in c.residues for n in range(5, c.min_n)), c.name
+        if c.case.min_n > 5:
+            assert any(n % 3 in c.case.residues for n in range(5, c.case.min_n)), c.name
 
 
 def test_skip_only_for_inapplicable_residue_or_size(capsys):
@@ -180,13 +180,16 @@ def test_sweep_range_equals_single_verify():
 
 
 def test_sweep_exit_zero_and_counts(capsys):
-    code, out, _ = run_main(capsys, ["sweep", "5", "8", "--format", "json"])
+    """n = 4..13 holds every Case's least n (5, 6, 7, 10) and its neighbours."""
+    code, out, _ = run_main(capsys, ["sweep", "4", "13", "--format", "json"])
     assert code == 0
     body = json.loads(out)
-    assert body["n_min"] == 5 and body["n_max"] == 8
+    assert body["n_min"] == 4 and body["n_max"] == 13
     assert body["total_fail"] == 0
     assert body["first_failure"] is None
-    assert [r["n"] for r in body["reports"]] == [5, 6, 7, 8]
+    assert [r["n"] for r in body["reports"]] == list(range(4, 14))
+    statuses = {c["status"] for r in body["reports"] for c in r["checks"]}
+    assert "error" not in statuses and "fail" not in statuses
 
 
 def test_sweep_of_one_n_keeps_the_sweep_layout(capsys):
@@ -290,7 +293,7 @@ def test_failure_exit_code(monkeypatch, capsys):
     def always_fails(ctx):
         return "1", "0", False
 
-    fake = (Check("synthetic_failure", frozenset({0, 1, 2}), always_fails),)
+    fake = (Check("synthetic_failure", cf.WHEEL, always_fails),)
     monkeypatch.setattr(checks, "CHECKS", fake)
     code, out, _ = run_main(capsys, ["verify", "6", "--format", "json"])
     assert code == 1

@@ -7,6 +7,7 @@ import pytest
 from helpers import ref_combination_x, ref_combination_y, ref_special_z
 from wheelecc.circulant import CirculantQ, circ_mul, to_dense
 from wheelecc.closedform import (
+    Case,
     Ew_closed,
     InertiaTriple,
     MU_closed,
@@ -378,7 +379,8 @@ def test_case_statements_reject_the_other_residue_class(builder, outside):
     "builder, n, what",
     [(combination_x, 1, "the c_k form of x"), (combination_x, 7, "the c_k form of x"),
      (combination_y, 8, "the c_k form of y"), (laplacian_tilde, 7, "Ltilde"),
-     (laplacian_hat, 8, "Lhat"), (ubar_circulant, 9, "Ubar")],
+     (laplacian_hat, 8, "Lhat"), (ubar_circulant, 9, "Ubar"), (PV_closed, 9, "P V"),
+     (pinv_XE_closed, 9, "X E")],
 )
 def test_each_case_statement_names_itself_outside_its_class(builder, n, what):
     with pytest.raises(ResidueClassError, match=f"^{what} needs n % 3 == "):
@@ -398,8 +400,33 @@ def test_residue_class_error_names_the_least_valid_n(builder, n, least):
 def test_registry_reads_the_residue_classes_of_closedform():
     from wheelecc import checks, closedform
 
-    assert checks.INVERTIBLE is closedform.INVERTIBLE == {0, 2}
-    assert checks.SINGULAR is closedform.SINGULAR == {1}
+    assert closedform.INVERTIBLE.residues == {0, 2} and closedform.SINGULAR.residues == {1}
+    assert closedform.RANK_CERTIFICATE == (closedform.SINGULAR.residues, 10)
+    assert closedform.INTERLACING == (closedform.WHEEL.residues, 6)
+    cases = [value for value in vars(closedform).values() if isinstance(value, closedform.Case)]
+    assert all(any(c.case is case for case in cases) for c in checks.CHECKS)
+
+
+@pytest.mark.parametrize(
+    "case, n, reason",
+    [(Case(frozenset({1})), 8, "not applicable for n % 3 == 2"),
+     (Case(frozenset({1}), 10), 7, "needs n >= 10"),
+     (Case(frozenset({1}), 10), 8, "not applicable for n % 3 == 2"),
+     (Case(frozenset({0, 1, 2}), 6), 5, "needs n >= 6"),
+     (Case(frozenset({0, 1, 2}), 6), 6, None),
+     (Case(frozenset({0, 2})), 5, None)],
+)
+def test_case_excludes_with_the_registrys_skip_text(case, n, reason):
+    assert case.excludes(n) == reason
+
+
+@pytest.mark.parametrize(
+    "statement, n",
+    [(rank_L_closed, 4), (pattern_sum_closed, 3), (block_e_closed, 2), (Ew_closed, 1)],
+)
+def test_statements_without_a_residue_class_take_the_wheel_guard(statement, n):
+    with pytest.raises(ValueError, match=f"^need n >= 5, got {n}$"):
+        statement(n)
 
 
 def test_ubar_circulant_frozen_7():

@@ -1,4 +1,5 @@
-"""`tools/identity.py`: stable digests per command, and a changed renderer is named alone."""
+"""`tools/identity.py`: stable digests per command, a changed renderer is named alone, and
+every command whose stdout `test_cli.py` pins by sha256 is on its list."""
 
 import importlib.util
 import shutil
@@ -38,3 +39,16 @@ def test_identity_tool_repeats_its_digests_and_names_only_the_changed_command(tm
     assert captured.err == "differs: -O verify 5 --format csv\n"
     assert captured.out.splitlines()[0] == first[0]
     assert tool.main(["--src", str(ROOT / "src"), "--against", str(reference)], commands=COMMANDS) == 0
+
+
+def test_identity_list_covers_every_command_test_cli_pins():
+    import test_cli as pins
+
+    fmts = ("json", "csv", "pretty")
+    pinned = [("sweep", "4", "24", "--format", "json")]
+    pinned += [("sweep", "4", "24", "--format", f) for f in pins.SWEEP_4_24_SHA256]
+    pinned += [("verify", str(n), "--format", "json") for n in pins.VERIFY_JSON_SHA256]
+    pinned += [("-O", "verify", "42", "--format", "json")]
+    pinned += [("gen", obj, str(n), "--format", f) for obj, n in pins.GEN_SHA256 for f in fmts]
+    assert len(pinned) == 1 + 2 + 3 + 1 + 19 * 3
+    assert set(pinned) <= set(_tool().COMMANDS)

@@ -5,14 +5,15 @@ route derived from it.  These tests make the parts of that rule that show in
 the imports mechanical: the oracles, the graph ground truth and the
 circulant algebra depend on the scalar/matrix substrate `ratq` alone, no
 circulant function states anything of the wheel order n, only the one guard
-of `closedform` raises its residue-class error, the closed forms depend on no
-oracle, the definitional eccentricity matrices of the check
-registry come from `graphs` calls only, the closed forms of E reach the
-registry only through the two checks that compare them with those, every
-check but a listed few takes the paper's side from `closedform`, the
-oracle-only report at n = 4 reads no closed form, and only `VerifyContext`
-properties run an elimination on a BFS matrix.  The modules are parsed,
-never imported.
+of `closedform` raises its residue-class error, every other statement of n
+calls a guard, the closed forms depend on no oracle, each registry row names
+a `closedform` Case and the registry takes no residue of n itself, the
+definitional eccentricity matrices of the check registry come from `graphs`
+calls only, the closed forms of E reach the registry only through the two
+checks that compare them with those, every check but a listed few takes the
+paper's side from `closedform`, the oracle-only report at n = 4 reads no
+closed form, and only `VerifyContext` properties run an elimination on a BFS
+matrix.  The modules are parsed, never imported.
 """
 
 import ast
@@ -93,6 +94,76 @@ def test_closedform_raises_residue_class_error_only_in_its_guard():
         isinstance(node, ast.Raise) for top in tree.body
         if not isinstance(top, (ast.FunctionDef, ast.ClassDef)) for node in ast.walk(top)
     )
+
+
+# Statements of n with a bound of their own: E from n = 4, B and det B from n = 2.
+OWN_BOUND = {"ecc_matrix_wheel", "bordered_B", "det_B_closed"}
+GUARDS = {"_require", "_require_case"}
+
+
+def test_every_statement_of_n_calls_a_guard():
+    """Each public statement that takes the wheel order n states its domain through a guard."""
+    unguarded = sorted(
+        fn.name for fn in _tree("closedform").body
+        if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
+        and "n" in {a.arg for a in fn.args.args}
+        and not any(
+            isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in GUARDS
+            for node in ast.walk(fn)
+        )
+    )
+    assert unguarded == sorted(OWN_BOUND)
+
+
+def _case_constants() -> set[str]:
+    """The module-level names `closedform` binds to a `Case(...)`."""
+    return {
+        target.id for node in _tree("closedform").body if isinstance(node, ast.Assign)
+        and isinstance(node.value, ast.Call) and ast.unparse(node.value.func) == "Case"
+        for target in node.targets
+    }
+
+
+def test_every_registry_row_names_a_case_of_closedform():
+    """No row states a residue class or a least n of its own."""
+    constants = _case_constants()
+    assert {"INVERTIBLE", "SINGULAR", "WHEEL", "INTERLACING", "RANK_CERTIFICATE"} <= constants
+    for row in _registry(_tree("checks")).value.elts:
+        assert len(row.args) == 3 and not row.keywords, ast.unparse(row)
+        case = row.args[1]
+        assert isinstance(case, ast.Name) and case.id in constants, ast.unparse(row)
+
+
+def test_check_states_no_domain_of_its_own():
+    check = next(
+        node for node in _tree("checks").body
+        if isinstance(node, ast.ClassDef) and node.name == "Check"
+    )
+    assert not any(isinstance(node, (ast.Compare, ast.FunctionDef)) for node in ast.walk(check))
+
+
+def _mod3_of_n(tree: ast.AST) -> list[str]:
+    """Each `<n> % 3` in tree whose left side is `n` or an `.n` attribute."""
+    return [
+        ast.unparse(node) for node in ast.walk(tree)
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod)
+        and isinstance(node.right, ast.Constant) and node.right.value == 3
+        and (
+            (isinstance(node.left, ast.Name) and node.left.id == "n")
+            or (isinstance(node.left, ast.Attribute) and node.left.attr == "n")
+        )
+    ]
+
+
+def test_registry_takes_no_residue_of_n():
+    """Where a check runs, and which object it reads, the registry asks a `closedform` Case."""
+    assert _mod3_of_n(_tree("checks")) == []
+
+
+def test_residue_finder_sees_n_and_its_attributes_but_not_an_index():
+    tree = ast.parse("a = n % 3\nb = ctx.n % 3 == 1\nc = g[i % 3]\nd = (ctx.n - 1) // 3\n")
+    assert _mod3_of_n(tree) == ["n % 3", "ctx.n % 3"]
 
 
 def test_closed_forms_import_no_oracle():

@@ -22,6 +22,8 @@ from pathlib import Path
 
 FORMATS = ("json", "csv", "pretty")
 GEN_OBJECTS = ("E", "E_minus_edge", "Ltilde", "Lhat", "inverse", "pinv", "w", "nullvecs", "quotient")
+# The objects `gen` prints only where E is invertible (n % 3 != 1), and only where it is singular.
+INVERTIBLE_ONLY, SINGULAR_ONLY = ("Ltilde", "inverse"), ("Lhat", "pinv", "nullvecs")
 
 
 def _commands() -> list[tuple[str, ...]]:
@@ -34,6 +36,8 @@ def _commands() -> list[tuple[str, ...]]:
              for f in FORMATS]
     cmds += [("gen", o, str(n)) for o in ("inverse", "pinv", "Ltilde", "Lhat", "nullvecs")
              for n in range(4, 8)]
+    cmds += [("gen", o, str(n), "--format", f) for n in (25, 26, 27) for o in GEN_OBJECTS
+             if o not in (INVERTIBLE_ONLY if n % 3 == 1 else SINGULAR_ONLY) for f in FORMATS]
     return cmds
 
 
