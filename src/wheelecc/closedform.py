@@ -11,8 +11,8 @@ in `checks`, which only compare.  Every rule over n mod 3, and every least
 n, lives here as a `Case` with one predicate, `Case.excludes`: the check
 registry's rows name these constants, and one guard, `_require_case(n,
 case, what)`, is the only place that raises `ResidueClassError`.  Every
-other statement of n calls the wheel guard `_require` (n >= 5), except E
-(from n = 4) and B and its determinant (from n = 2).  `circulant` holds
+other statement of n calls the wheel guard `_require(n, what)` (n >= 5),
+except E (from n = 4) and B and its determinant (from n = 2).  `circulant` holds
 only the algebra of an arbitrary circulant.  Independent definitional
 verifiers live in `oracle`; nothing here row-reduces or eliminates.
 """
@@ -84,10 +84,10 @@ RANK_CERTIFICATE = Case(SINGULAR.residues, 10)  # Lemma 6.9's pair
 INTERLACING = Case(WHEEL.residues, 6)
 
 
-def _require(n: int) -> None:
-    """The wheel guard: ValueError unless n >= 5."""
+def _require(n: int, what: str) -> None:
+    """The wheel guard: ValueError naming `what` unless n >= 5."""
     if WHEEL.excludes(n):
-        raise ValueError(f"need n >= {WHEEL.min_n}, got {n}")
+        raise ValueError(f"{what} needs n >= {WHEEL.min_n}, got n = {n}")
 
 
 def _require_case(n: int, case: Case, what: str) -> None:
@@ -103,13 +103,13 @@ def _require_case(n: int, case: Case, what: str) -> None:
 
 def wheel_u(n: int) -> VectorQ:
     """Defining vector (0, 0, 2, ..., 2, 0) of the cyclic eccentricity block."""
-    _require(n)
+    _require(n, "u")
     return VectorQ([0, 0] + [2] * (n - 4) + [0])
 
 
 def wheel_d(n: int) -> VectorQ:
     """Defining vector (0, 1, 2, ..., 2, 1) of the cyclic distance block."""
-    _require(n)
+    _require(n, "d")
     return VectorQ([0, 1] + [2] * (n - 4) + [1])
 
 
@@ -150,7 +150,7 @@ def ecc_matrix_wheel_minus_edge(n: int) -> MatrixQ:
     Deleting that edge keeps all eccentricities, and the cyclic block loses its
     wrap-around: the lower block becomes 2J - tridiagonal(2,2,2) of order n-1.
     """
-    _require(n)
+    _require(n, "E_minus_edge")
     block = jmatrix(n - 1).scaled(2) - tridiagonal(n - 1, 2, 2, 2)
     return _bordered(block)
 
@@ -222,7 +222,7 @@ def det_B_closed(n: int) -> Fraction:
 
 def det_E_closed(n: int) -> Fraction:
     """Determinant of the wheel eccentricity matrix: 2^(n-2) (1-n), or 0 when n % 3 == 1."""
-    _require(n)
+    _require(n, "det E")
     if n % 3 == 1:
         return Fraction(0)
     return Fraction(2) ** (n - 2) * (1 - n)
@@ -230,13 +230,13 @@ def det_E_closed(n: int) -> Fraction:
 
 def det_E_minus_edge_closed(n: int) -> Fraction:
     """Determinant of the edge-deleted eccentricity matrix; equals det_B_closed(n)."""
-    _require(n)
+    _require(n, "det E_minus_edge")
     return det_B_closed(n)
 
 
 def inertia_E_minus_edge_closed(n: int) -> InertiaTriple:
     """Inertia of the edge-deleted eccentricity matrix, by residue of n mod 3."""
-    _require(n)
+    _require(n, "the inertia of E_minus_edge")
     r = n % 3
     if r == 0:
         return InertiaTriple(n // 3, (2 * n - 3) // 3, 1)
@@ -247,7 +247,7 @@ def inertia_E_minus_edge_closed(n: int) -> InertiaTriple:
 
 def inertia_E_closed(n: int) -> InertiaTriple:
     """Inertia of the wheel eccentricity matrix, by residue of n mod 3."""
-    _require(n)
+    _require(n, "the inertia of E")
     r = n % 3
     if r == 0:
         return InertiaTriple((n + 3) // 3, (2 * n - 3) // 3, 0)
@@ -258,13 +258,13 @@ def inertia_E_closed(n: int) -> InertiaTriple:
 
 def rank_E_closed(n: int) -> int:
     """Rank of the wheel eccentricity matrix: n - 2 when n % 3 == 1, else n."""
-    _require(n)
+    _require(n, "rank E")
     return n - 2 if n % 3 == 1 else n
 
 
 def rank_L_closed(n: int) -> int:
     """Rank of Ltilde (n - 1, Theorem 5.10) or, when n % 3 == 1, of Lhat (n - 3, Theorem 6.10)."""
-    _require(n)
+    _require(n, "rank L")
     return n - 3 if n % 3 == 1 else n - 1
 
 
@@ -384,13 +384,13 @@ def p_circulant(n: int) -> CirculantQ:
 
 def pattern_sum_closed(n: int) -> int:
     """Coordinate sum of the block's defining vector: 2-n, or (n-1)(2-n) for special_z."""
-    _require(n)
+    _require(n, "the pattern sum")
     return (n - 1) * (2 - n) if n % 3 == 1 else 2 - n
 
 
 def block_e_closed(n: int) -> VectorQ:
     """Lemmas Me and Pe: the cyclic block, M or (n % 3 == 1) P, times e is ((2-n)/3) e."""
-    _require(n)
+    _require(n, "the block times e")
     return ones_vector(n - 1).scaled(Fraction(2 - n, 3))
 
 
@@ -452,13 +452,13 @@ def laplacian_hat(n: int) -> MatrixQ:
 
 def weight_w(n: int) -> VectorQ:
     """Rank-one weight vector (7-n, 1, ..., 1)/6; satisfies E w = ((n-1)/6) e."""
-    _require(n)
+    _require(n, "w")
     return VectorQ([Fraction(7 - n, 6)] + [Fraction(1, 6)] * (n - 1))
 
 
 def Ew_closed(n: int) -> VectorQ:
     """E w = ((n-1)/6) e."""
-    _require(n)
+    _require(n, "E w")
     return ones_vector(n).scaled(Fraction(n - 1, 6))
 
 
@@ -480,14 +480,14 @@ def inverse_E_closed(n: int) -> MatrixQ:
     Only defined when n % 3 != 1; otherwise the matrix is singular
     (see det_E_closed) and the pseudoinverse formula applies instead.
     """
-    _require(n)
+    _require(n, "inverse")
     _require_case(n, INVERTIBLE, "inverse (E is singular when n % 3 == 1; use pinv_E_closed)")
     return inverse_formula(laplacian_tilde(n), weight_w(n))
 
 
 def pinv_E_closed(n: int) -> MatrixQ:
     """Moore-Penrose inverse for the singular case: -(1/2) Lhat + (6/(n-1)) w w'."""
-    _require(n)
+    _require(n, "pinv")
     _require_case(n, SINGULAR, "pinv (E is invertible otherwise; use inverse_E_closed)")
     return inverse_formula(laplacian_hat(n), weight_w(n))
 
@@ -545,13 +545,13 @@ def rank_certificate(n: int) -> tuple[MatrixQ, MatrixQ]:
 
 def quotient_matrix(n: int) -> MatrixQ:
     """2x2 quotient matrix [[0, n-1], [1, 2(n-4)]] of the hub/rim equitable partition."""
-    _require(n)
+    _require(n, "the quotient matrix")
     return MatrixQ([[0, n - 1], [1, 2 * (n - 4)]])
 
 
 def spectral_radius_closed(n: int) -> SpectralRadiusResult:
     """Spectral radius (n-4) + sqrt(n^2 - 7n + 15) with float evaluation."""
-    _require(n)
+    _require(n, "the spectral radius")
     radicand = n * n - 7 * n + 15
     rho = (n - 4) + math.sqrt(radicand)
     return SpectralRadiusResult(n=n, rho_int_part=n - 4, radicand=radicand, rho_float=rho)
@@ -564,7 +564,7 @@ def edm_witness(n: int) -> VectorQ:
     alternating vector with zeros in positions 1 and m+1, the tail phase
     flipped according to the parity of m, and z'Ez = 2(n-4).
     """
-    _require(n)
+    _require(n, "the EDM witness")
     if n % 2 == 1:
         return VectorQ([0] + [1, -1] * ((n - 1) // 2))
     m = n // 2
@@ -575,5 +575,5 @@ def edm_witness(n: int) -> VectorQ:
 
 def edm_witness_value(n: int) -> Fraction:
     """The exact positive value of z' E z for the witness: 2(n-1) odd, 2(n-4) even."""
-    _require(n)
+    _require(n, "the EDM witness value")
     return Fraction(2 * (n - 1)) if n % 2 == 1 else Fraction(2 * (n - 4))

@@ -328,13 +328,41 @@ def int_rows(m: MatrixQ) -> tuple[list[list[int]], int]:
 
 
 def mat_mul(a: MatrixQ, b: MatrixQ) -> MatrixQ:
-    """Exact matrix product, computed on ints over the two common denominators."""
+    """Exact matrix product, computed on ints over the two common denominators.
+
+    Kronecker substitution: each row of b is packed into one int with signed
+    w-bit slots, so a row of the product is one big-int sum over the nonzero
+    entries of a row of a.  No entry of the product exceeds
+    B = a.cols * max|a| * max|b| in size, and w = B.bit_length() + 1 gives
+    every slot room for -B..B once `half` = 2**(w - 1) is added to it; so no
+    slot carries into the next, and each unpacks as (slot & mask) - half.
+    """
     if a.cols != b.rows:
         raise ShapeError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
     a_int, da = _ints(a)
     b_int, db = _ints(b)
-    bt = list(zip(*b_int))  # column tuples of b
-    return MatrixQ.from_ints(([sum(map(mul, row, col)) for col in bt] for row in a_int), da * db)
+    w = (a.cols * _max_abs(a_int) * _max_abs(b_int)).bit_length() + 1
+    packed = []
+    for row in b_int:
+        v = 0
+        for x in row:
+            v = (v << w) + x
+        packed.append(v)
+    mask, half = (1 << w) - 1, 1 << (w - 1)
+    offset = ((1 << w * b.cols) - 1) // mask * half  # half in every slot
+    shifts = range(w * (b.cols - 1), -1, -w)
+    out = []
+    for row in a_int:
+        acc = offset
+        for x, v in zip(row, packed):
+            if x:
+                acc += x * v
+        out.append([((acc >> s) & mask) - half for s in shifts])
+    return MatrixQ.from_ints(out, da * db)
+
+
+def _max_abs(rows: tuple[tuple[int, ...], ...]) -> int:
+    return max(max(max(r), -min(r)) for r in rows)
 
 
 def block_compose(tl: MatrixQ, tr: MatrixQ, bl: MatrixQ, br: MatrixQ) -> MatrixQ:

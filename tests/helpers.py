@@ -5,10 +5,11 @@ from __future__ import annotations
 import math
 from collections import deque
 from fractions import Fraction
+from operator import mul
 
 from wheelecc.circulant import CirculantQ, to_dense
 from wheelecc.graphs import Graph
-from wheelecc.ratq import MatrixQ, ShapeError, VectorQ, rat
+from wheelecc.ratq import MatrixQ, ShapeError, VectorQ, int_rows, rat
 
 
 def rand_fraction(rng, lo: int = -6, hi: int = 6, max_den: int = 4) -> Fraction:
@@ -133,7 +134,8 @@ def ref_inverse_exact(m: MatrixQ) -> MatrixQ | None:
 
 # --- reference kernels ---------------------------------------------------------
 # `mat_mul` and `inertia_exact` as they were on Fraction entries, before both
-# moved to ints over a common denominator; kept as the slow exact path.
+# moved to ints over a common denominator, and `mat_mul`'s int loop before
+# Kronecker packing; kept as the slow exact paths.
 
 
 def ref_mat_mul(a: MatrixQ, b: MatrixQ) -> MatrixQ:
@@ -143,6 +145,17 @@ def ref_mat_mul(a: MatrixQ, b: MatrixQ) -> MatrixQ:
         [sum((x * y for x, y in zip(row, colt)), Fraction(0)) for colt in bt]
         for row in a.iter_rows()
     )
+
+
+def ref_int_mat_mul(a: MatrixQ, b: MatrixQ) -> tuple[list[list[int]], int]:
+    """The integer view (rows, da * db) of a b, one dot product of ints per entry.
+
+    This is `mat_mul`'s loop before its rows were packed into big ints.
+    """
+    a_int, da = int_rows(a)
+    b_int, db = int_rows(b)
+    bt = list(zip(*b_int))  # column tuples of b
+    return [[sum(map(mul, row, col)) for col in bt] for row in a_int], da * db
 
 
 def ref_inertia_exact(m: MatrixQ) -> tuple[tuple[int, int, int], tuple[str, ...]]:

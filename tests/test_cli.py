@@ -70,7 +70,7 @@ def test_gen_inverse_below_five_names_the_size_not_the_residue(capsys, obj):
     """At n = 4 neither formula applies, so neither message may point to the other builder."""
     code, out, err = run_main(capsys, ["gen", obj, "4"])
     assert (code, out) == (2, "")
-    assert err == "error: need n >= 5, got 4\n"
+    assert err == f"error: {obj} needs n >= 5, got n = 4\n"
 
 
 def test_gen_lhat_wrong_residue(capsys):

@@ -7,9 +7,12 @@ symmetric congruence.  All are compared with the Fraction versions kept in
 characteristic polynomial where sympy is installed.  Int-backed matrices
 (`MatrixQ.from_ints`) are compared with Fraction-backed copies of the same
 values, and the int-backed definitional eccentricity matrices with their
-Fraction construction.
+Fraction construction.  `mat_mul`'s Kronecker-packed rows are compared with
+the plain int loop they replaced (`helpers.ref_int_mat_mul`) on integer
+views, so the denominator must agree as well as the value.
 """
 
+import functools
 import random
 from fractions import Fraction
 
@@ -21,6 +24,7 @@ from helpers import (
     ref_dot,
     ref_eccentricity_matrix,
     ref_inertia_exact,
+    ref_int_mat_mul,
     ref_mat_mul,
     ref_mul_vec,
 )
@@ -33,7 +37,9 @@ from wheelecc.graphs import (
     eccentricity_matrix_definitional,
 )
 from wheelecc.oracle import PIVOT_HYPERBOLIC, PIVOT_ZERO, bareiss_det, inertia_exact, rank_exact
-from wheelecc.ratq import MatrixQ, ShapeError, VectorQ, int_entries, int_rows, mat_mul, rat_str
+from wheelecc.ratq import (
+    MatrixQ, ShapeError, VectorQ, identity, int_entries, int_rows, mat_mul, rat_str,
+)
 
 DENOMINATORS = (1, 2, 3, 4, 6, 7, 12)
 
@@ -165,6 +171,78 @@ def test_mat_mul_matches_fraction_product_random():
         mat_mul(MatrixQ([[1, 2]]), MatrixQ([[1, 2]]))
 
 
+def _assert_packed_matches_int_loop(a: MatrixQ, b: MatrixQ) -> None:
+    assert int_rows(mat_mul(a, b)) == ref_int_mat_mul(a, b)
+
+
+def _int_matrix(rng, rows, cols, big, den=1, density=1.0):
+    return MatrixQ.from_ints(
+        [[rng.randint(-big, big) if rng.random() < density else 0 for _ in range(cols)]
+         for _ in range(rows)],
+        den,
+    )
+
+
+# (rows, inner, cols): 1 x 1, 1 x k . k x 1 and k x 1 . 1 x k, and inner dimensions
+# larger than the output, as in Lemma 6.9's L E times the certificate's x.
+PACKED_SHAPES = [(1, 1, 1), (1, 6, 1), (6, 1, 6), (2, 9, 3), (1, 11, 2), (4, 4, 4), (3, 7, 5)]
+# Entry sizes: small, near 10^6, and above 2^64.
+PACKED_BIG = [1, 3, 10**6, 2**64 + 13, 2**80]
+
+
+@pytest.mark.parametrize("shape", PACKED_SHAPES)
+def test_packed_mat_mul_matches_int_loop_random(shape):
+    rows, inner, cols = shape
+    rng = random.Random(str(shape))
+    for big in PACKED_BIG:
+        for _ in range(6):
+            a = _int_matrix(rng, rows, inner, big, rng.choice((1, 2, 7)), rng.choice((1.0, 0.4)))
+            b = _int_matrix(rng, inner, cols, big, rng.choice((1, 3, 12)), rng.choice((1.0, 0.4)))
+            _assert_packed_matches_int_loop(a, b)
+
+
+@pytest.mark.parametrize("shape", PACKED_SHAPES)
+def test_packed_mat_mul_fills_each_slot_to_its_bound(shape):
+    """Every entry of a and b at +-max, so every product entry is +-cols * max|a| * max|b|."""
+    rows, inner, cols = shape
+    for big_a, big_b in ((1, 1), (10**6, 10**6 - 1), (2**64 + 1, 3), (2**65, 2**65)):
+        for sa, sb in ((1, 1), (-1, 1), (1, -1), (-1, -1)):
+            a = MatrixQ.from_ints([[sa * big_a] * inner for _ in range(rows)])
+            b = MatrixQ.from_ints([[sb * big_b] * cols for _ in range(inner)])
+            _assert_packed_matches_int_loop(a, b)
+            mixed = MatrixQ.from_ints([[big_b if (i + j) % 2 else -big_b for j in range(cols)]
+                                       for i in range(inner)])
+            _assert_packed_matches_int_loop(a, mixed)
+
+
+def test_packed_mat_mul_zero_operands_rows_and_columns():
+    rng = random.Random(20261021)
+    a = _int_matrix(rng, 4, 5, 10**6)
+    b = _int_matrix(rng, 5, 3, 10**6, den=6)
+    zero_row = MatrixQ.from_ints([r if i != 2 else [0] * 5 for i, r in enumerate(int_rows(a)[0])], 5)
+    zero_col = MatrixQ.from_ints([[0 if j == 1 else x for j, x in enumerate(r)] for r in int_rows(b)[0]])
+    for left, right in (
+        (MatrixQ.from_ints([[0] * 5] * 4), b),
+        (a, MatrixQ.from_ints([[0] * 3] * 5, 4)),
+        (MatrixQ.from_ints([[0]]), MatrixQ.from_ints([[0]])),
+        (zero_row, b),
+        (a, zero_col),
+        (zero_row, zero_col),
+    ):
+        _assert_packed_matches_int_loop(left, right)
+    assert int_rows(mat_mul(zero_row, b))[0][2] == [0, 0, 0]
+
+
+@pytest.mark.parametrize("n", range(5, 13))
+def test_packed_mat_mul_matches_int_loop_on_the_literal_power_chain(n):
+    """(I + E)^k for k < n, the chain `literal_power_positive` multiplies, entries growing with k."""
+    base = identity(n) + cf.ecc_matrix_wheel(n)
+    acc = identity(n)
+    for _ in range(n - 1):
+        _assert_packed_matches_int_loop(acc, base)
+        acc = mat_mul(acc, base)
+
+
 def test_int_entries_is_exact_scaling():
     v = VectorQ([Fraction(1, 2), Fraction(-2, 3), 0])
     assert int_entries(v) == ([3, -4, 0], 6)
@@ -250,15 +328,14 @@ def test_inertia_pivot_signs_and_blocks():
         inertia_exact(MatrixQ([[0, 1], [2, 0]]))
 
 
-def _wheel_matrices(n: int):
-    yield cf.ecc_matrix_wheel(n)
-    yield cf.ecc_matrix_wheel_minus_edge(n)
+@functools.cache
+def _wheel_matrices(n: int) -> tuple[MatrixQ, MatrixQ, MatrixQ, MatrixQ]:
+    """E, E_minus_edge, L and X at n, built once for the tests that read them."""
     if n % 3 != 1:
-        yield cf.laplacian_tilde(n)
-        yield cf.inverse_E_closed(n)
+        lap, x = cf.laplacian_tilde(n), cf.inverse_E_closed(n)
     else:
-        yield cf.laplacian_hat(n)
-        yield cf.pinv_E_closed(n)
+        lap, x = cf.laplacian_hat(n), cf.pinv_E_closed(n)
+    return cf.ecc_matrix_wheel(n), cf.ecc_matrix_wheel_minus_edge(n), lap, x
 
 
 @pytest.mark.parametrize("n", range(5, 41))
@@ -278,6 +355,14 @@ def test_int_kernels_match_fraction_routes_on_wheel_matrices(n):
     u = CirculantQ(cf.wheel_u(n))
     assert circ_mul(block, u) == ref_circ_mul(block, u)
     assert circ_mul(u, block) == ref_circ_mul(u, block)
+
+
+@pytest.mark.parametrize("n", range(5, 41))
+def test_packed_mat_mul_matches_int_loop_on_wheel_products(n):
+    """L E, X E, E X and E L: the products `verify` forms, Theorem 5.8 and Lemma 5.1."""
+    e, _, lap, x = _wheel_matrices(n)
+    for a, b in ((lap, e), (x, e), (e, x), (e, lap)):
+        _assert_packed_matches_int_loop(a, b)
 
 
 def _descartes_inertia(sympy, m: MatrixQ) -> tuple[int, int, int]:
